@@ -24,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 using namespace gnt;
@@ -74,13 +75,14 @@ void BM_IncrementalEdit(benchmark::State &State) {
   StageCacheStats Last;
   for (auto _ : State) {
     State.PauseTiming();
-    StageCache Warm;
-    (void)Pipeline(Opts).compile(Base, &Warm);
+    auto Warm = std::make_unique<StageCache>();
+    (void)Pipeline(Opts).compile(Base, Warm.get());
     State.ResumeTiming();
-    PipelineResult R = Pipeline(Opts).compile(Edited, &Warm);
+    PipelineResult R = Pipeline(Opts).compile(Edited, Warm.get());
     benchmark::DoNotOptimize(R);
     State.PauseTiming();
-    Last = Warm.statsSnapshot();
+    Last = Warm->statsSnapshot();
+    Warm.reset(); // Tearing down the warm cache is setup, not the edit.
     State.ResumeTiming();
   }
   State.counters["edited"] = Edits;

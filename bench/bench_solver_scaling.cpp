@@ -16,15 +16,9 @@
 #include "BenchJson.h"
 #include "BenchUtil.h"
 
-#include "support/SimdKernels.h"
-
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdint>
-#include <cstring>
 #include <random>
-#include <string_view>
 
 using namespace gnt;
 using namespace gnt::bench;
@@ -343,160 +337,7 @@ BENCHMARK(BM_CompressedSolveIncompressible)->Arg(8192)->Arg(16384);
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Roofline study: kernel variants vs the memory bandwidth ceiling
-//===----------------------------------------------------------------------===//
-//
-// The solver's sweeps are pure word-streaming bit algebra, so past a
-// few thousand items they are bandwidth problems, not ALU problems.
-// This section measures, per registered kernel variant (scalar and
-// whatever SIMD the machine has), the Wide and Duplicate families at
-// 8192/16384 items, reporting:
-//
-//   bytes_touched   first-order traffic model of one solve (below)
-//   cycles          TSC cycles per solve (x86; 0 where unavailable)
-//   bytes_per_cycle bytes_touched / cycles — the roofline y-axis
-//   bw_gbps         bytes_touched / wall time
-//   ceiling_gbps    a memcpy probe of this machine's streaming
-//                   bandwidth — the roof itself; bw_gbps/ceiling_gbps
-//                   is how much of the hardware floor the variant uses
-//
-// The traffic model counts words, not cache lines: per node the S1-S4
-// steps write the 20 arena rows once and read on the order of 30 row
-// operands, and every FORWARD/JUMP/interval edge feeds about 6 gather
-// reads. It deliberately overweights nothing — the same model is
-// applied to every variant, so the *ratios* between kernels and the
-// share of the ceiling are meaningful even though the absolute byte
-// count is an estimate.
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-inline std::uint64_t tscNow() { return __rdtsc(); }
-#else
-inline std::uint64_t tscNow() { return 0; }
-#endif
-
-namespace {
-
-double solveBytesTouched(const IntervalFlowGraph &Ifg, unsigned Universe) {
-  const unsigned WordsPerRow =
-      (Universe + BitVector::WordBits - 1) / BitVector::WordBits;
-  const unsigned N = Ifg.size();
-  std::size_t Edges = 0;
-  for (unsigned Node = 0; Node != N; ++Node)
-    Edges += Ifg.succs(Node).size();
-  const double RowOps = 20.0 * N   // every arena row written once
-                        + 30.0 * N // fused-step row reads
-                        + 6.0 * Edges; // gather reads along edges
-  return RowOps * WordsPerRow * sizeof(BitVector::Word);
-}
-
-/// Streaming-bandwidth roof: the best of a few large memcpy passes,
-/// measured once and cached. 32 MiB per buffer comfortably exceeds any
-/// L3 this code will meet while staying trivial to allocate.
-double memcpyCeilingGbps() {
-  static const double Ceiling = [] {
-    const std::size_t Bytes = 32u << 20;
-    std::vector<unsigned char> Src(Bytes, 0x5a), Dst(Bytes);
-    double Best = 0.0;
-    for (int Pass = 0; Pass != 5; ++Pass) {
-      auto T0 = std::chrono::steady_clock::now();
-      std::memcpy(Dst.data(), Src.data(), Bytes);
-      benchmark::DoNotOptimize(Dst.data());
-      auto T1 = std::chrono::steady_clock::now();
-      double Sec = std::chrono::duration<double>(T1 - T0).count();
-      // memcpy reads and writes every byte: 2x traffic.
-      if (Sec > 0)
-        Best = std::max(Best, 2.0 * Bytes / Sec / 1e9);
-    }
-    return Best;
-  }();
-  return Ceiling;
-}
-
-/// One roofline cell: family x items under a forced kernel variant.
-void rooflineBody(benchmark::State &State, const SolverKernels &K,
-                  bool Duplicate, unsigned Universe) {
-  detail::ScopedKernelOverride Force(K);
-  Built B = buildRandom(5, 400);
-  GntProblem P = Duplicate ? syntheticDuplicateProblem(B, Universe, 99)
-                           : syntheticProblem(B, Universe, 99);
-  const double Bytes = solveBytesTouched(B.Ifg, Universe);
-  std::uint64_t Cycles = 0;
-  for (auto _ : State) {
-    std::uint64_t C0 = tscNow();
-    GntResult R = solveGiveNTake(B.Ifg, P);
-    benchmark::DoNotOptimize(R.Take.size());
-    Cycles += tscNow() - C0;
-  }
-  const double Iters = static_cast<double>(State.iterations());
-  const double CyclesPerSolve = Iters ? Cycles / Iters : 0.0;
-  State.counters["items"] = Universe;
-  State.counters["bytes_touched"] = Bytes;
-  State.counters["cycles"] = CyclesPerSolve;
-  State.counters["bytes_per_cycle"] =
-      CyclesPerSolve > 0 ? Bytes / CyclesPerSolve : 0.0;
-  State.counters["bw_gbps"] = benchmark::Counter(
-      Bytes * Iters / 1e9, benchmark::Counter::kIsRate);
-  State.counters["ceiling_gbps"] = memcpyCeilingGbps();
-}
-
-/// One Wide-family register per kernel variant so the ~1.3x acceptance
-/// ratio (best SIMD vs scalar at >= 8192 items) reads straight off the
-/// BM_KernelRoofline rows of BENCH_solver.json.
-void registerRooflineBenchmarks() {
-  for (const SolverKernels *K : availableSolverKernels())
-    for (bool Duplicate : {false, true})
-      for (unsigned Universe : {8192u, 16384u}) {
-        std::string Name = std::string("BM_KernelRoofline/") + K->Name +
-                           (Duplicate ? "/duplicate/" : "/wide/") +
-                           std::to_string(Universe);
-        benchmark::RegisterBenchmark(
-            Name.c_str(), [K, Duplicate, Universe](benchmark::State &S) {
-              rooflineBody(S, *K, Duplicate, Universe);
-            });
-      }
-}
-
-//===----------------------------------------------------------------------===//
-// Static windows vs work stealing on a skewed expansion
-//===----------------------------------------------------------------------===//
-//
-// The duplicate family's compressed solve ends in a row-expansion pass
-// whose per-row cost is skewed by construction: rows of nodes that
-// never touch an item are a single memset, rows dense in segments pay
-// the full word program. Static word-windows assign each worker a fixed
-// row block regardless of that skew; the stealing scheduler oversplits
-// and lets idle workers raid loaded deques. On a multi-core machine
-// steal >= static here; on a single-core machine both degrade to the
-// same serial loop (the delta reads off the two rows of the JSON).
-
-void BM_CompressedExpandSchedule(benchmark::State &State) {
-  const bool Steal = State.range(0) != 0;
-  const unsigned Universe = 16384;
-  Built B = buildRandom(5, 400);
-  GntProblem P = syntheticDuplicateProblem(B, Universe, 99);
-  GntShardPolicy Policy;
-  Policy.WorkStealing = Steal;
-  for (auto _ : State) {
-    GntResult R = solveGiveNTakeCompressed(B.Ifg, P, /*Shards=*/4, &Policy);
-    benchmark::DoNotOptimize(R.Take.size());
-  }
-  State.counters["items"] = Universe;
-  State.counters["steal"] = Steal ? 1 : 0;
-  State.counters["shards"] = 4;
-}
-BENCHMARK(BM_CompressedExpandSchedule)->Arg(0)->Arg(1);
-
-} // namespace
-
 int main(int argc, char **argv) {
   report();
-  std::printf("kernel variants: ");
-  for (const SolverKernels *K : availableSolverKernels())
-    std::printf("%s%s ", K->Name,
-                std::string_view(K->Name) == solverKernelName() ? "*" : "");
-  std::printf("(* = active; GNT_KERNEL overrides)\n\n");
-  registerRooflineBenchmarks();
   return runBenchmarksWithTrajectory(argc, argv, "BENCH_solver.json");
 }

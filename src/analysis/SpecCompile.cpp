@@ -12,11 +12,11 @@
 #include "support/Hashing.h"
 #include "support/ItemClasses.h"
 #include "support/Json.h"
-#include "support/SimdKernels.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace gnt;
 
@@ -208,6 +208,22 @@ std::vector<NodeId> sweepOrder(const CompiledAnalysis &C,
   return Order;
 }
 
+/// The gen/kill transfer Out = (In & ~Kill) | Gen over \p W words.
+/// Returns the OR of (old ^ new) over Out, so the fixpoint sweep gets
+/// change detection for free.
+inline Word fuseTransfer(unsigned W, Word *__restrict Out,
+                         const Word *__restrict In,
+                         const Word *__restrict Gen,
+                         const Word *__restrict Kill) {
+  Word Diff = 0;
+  for (unsigned K = 0; K != W; ++K) {
+    Word NV = (In[K] & ~Kill[K]) | Gen[K];
+    Diff |= Out[K] ^ NV;
+    Out[K] = NV;
+  }
+  return Diff;
+}
+
 /// Solves \p C into \p In / \p Out (already initialized and
 /// boundary-pinned), sweeping only the word window [\p Lo, \p Hi).
 /// Lanes are independent in a pure gen/kill problem, so a window
@@ -222,7 +238,6 @@ unsigned sweepWindow(const CompiledAnalysis &C,
     return 0;
   const bool AllMeet = C.Meet == Confluence::All;
   const unsigned W = Hi - Lo;
-  const SolverKernels &SK = solverKernels();
   std::vector<Word> Tmp(W);
   unsigned Sweeps = 0;
   bool Changed = true;
@@ -233,19 +248,21 @@ unsigned sweepWindow(const CompiledAnalysis &C,
       const std::vector<NodeId> &P = Preds[Node];
       if (P.empty())
         continue; // Pinned to the boundary value.
-      SK.RowCopy(Tmp.data(), Out.row(P[0]) + Lo, W);
+      std::memcpy(Tmp.data(), Out.row(P[0]) + Lo, W * sizeof(Word));
       for (size_t K = 1; K != P.size(); ++K) {
         const Word *PR = Out.row(P[K]) + Lo;
         if (AllMeet)
-          SK.RowAnd(Tmp.data(), PR, W);
+          for (unsigned J = 0; J != W; ++J)
+            Tmp[J] &= PR[J];
         else
-          SK.RowOr(Tmp.data(), PR, W);
+          for (unsigned J = 0; J != W; ++J)
+            Tmp[J] |= PR[J];
       }
-      SK.RowCopy(In.row(Node) + Lo, Tmp.data(), W);
-      // The kernel stores the (possibly identical) value back
+      std::memcpy(In.row(Node) + Lo, Tmp.data(), W * sizeof(Word));
+      // The transfer stores the (possibly identical) value back
       // unconditionally and reports the XOR of old and new; the sweep
       // only needs to know whether *anything* moved.
-      Word Diff = SK.FuseTransfer(W, Out.row(Node) + Lo, Tmp.data(),
+      Word Diff = fuseTransfer(W, Out.row(Node) + Lo, Tmp.data(),
                                   GenM.row(Node) + Lo, KillM.row(Node) + Lo);
       Changed |= Diff != 0;
     }
@@ -278,12 +295,11 @@ ArenaSpecResult solveArena(const CompiledAnalysis &C,
       R.Out.setRow(Node);
     }
   const unsigned WPR = R.In.wordsPerRow();
-  const SolverKernels &SK = solverKernels();
   for (NodeId Node = 0; Node != N; ++Node) {
     if (!Preds[Node].empty())
       continue;
     R.In.assignRow(Node, C.Boundary);
-    (void)SK.FuseTransfer(WPR, R.Out.row(Node), R.In.row(Node),
+    (void)fuseTransfer(WPR, R.Out.row(Node), R.In.row(Node),
                           GenM.row(Node), KillM.row(Node));
   }
 

@@ -65,13 +65,8 @@
 
 #include "support/DataflowMatrix.h"
 #include "support/ItemClasses.h"
-#include "support/ShardSchedule.h"
-#include "support/SimdKernels.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
-
-#include <cstdlib>
-#include <string_view>
 
 using namespace gnt;
 
@@ -421,45 +416,152 @@ using RowList = std::vector<const Word *>;
 //===----------------------------------------------------------------------===//
 // Row sweeps
 //
-// The row primitives and the fused sweeps live behind the
-// support/SimdKernels registry: scalar reference loops plus
-// hand-written AVX2/AVX-512/NEON variants, selected once per process
-// (CPUID or GNT_KERNEL). The commented equation bodies (Eq. 1-15 word
-// logic, operand roles, the HoistMask/NoHoist conventions, the Eq. 11
-// soundness refinement) are documented on the scalar variant in
-// SimdKernels.cpp. Aliasing contract carried over from the inline era:
+// Every equation is a per-word AND/OR/ANDNOT with no cross-lane state,
+// so each fused schedule step is one plain loop the compiler vectorizes
+// on its own. The __restrict qualifiers rest on this aliasing contract:
 // a destination is always the row of one (field, node) pair, every
-// source is a different row or init storage, and several *sources* may
-// alias each other (absent operands all point at one shared zero row).
+// source is a different row or init storage, and only *sources* may
+// alias each other (absent operands all point at one shared zero row),
+// which __restrict allows because they are only read.
 //===----------------------------------------------------------------------===//
 
 inline void rowZero(Word *D, unsigned W) {
   std::memset(D, 0, W * sizeof(Word));
 }
 
+inline void rowCopy(Word *D, const Word *A, unsigned W) {
+  std::memcpy(D, A, W * sizeof(Word));
+}
+
+inline void rowOr(Word *__restrict D, const Word *__restrict A, unsigned W) {
+  for (unsigned K = 0; K != W; ++K)
+    D[K] |= A[K];
+}
+
+inline void rowAnd(Word *__restrict D, const Word *__restrict A, unsigned W) {
+  for (unsigned K = 0; K != W; ++K)
+    D[K] &= A[K];
+}
+
+/// D |= A & ~B.
+inline void rowOrAndNot(Word *__restrict D, const Word *__restrict A,
+                        const Word *__restrict B, unsigned W) {
+  for (unsigned K = 0; K != W; ++K)
+    D[K] |= A[K] & ~B[K];
+}
+
 /// D = union of the rows in \p L (bottom when empty).
-inline void gatherUnion(const SolverKernels &SK, Word *D, const RowList &L,
-                        unsigned W) {
+inline void gatherUnion(Word *D, const RowList &L, unsigned W) {
   if (L.empty()) {
     rowZero(D, W);
     return;
   }
-  SK.RowCopy(D, L[0], W);
+  rowCopy(D, L[0], W);
   for (std::size_t I = 1, E = L.size(); I != E; ++I)
-    SK.RowOr(D, L[I], W);
+    rowOr(D, L[I], W);
 }
 
 /// D = intersection of the rows in \p L (bottom when empty, as Section 4
 /// specifies for empty successor sets).
-inline void gatherMeet(const SolverKernels &SK, Word *D, const RowList &L,
-                       unsigned W) {
+inline void gatherMeet(Word *D, const RowList &L, unsigned W) {
   if (L.empty()) {
     rowZero(D, W);
     return;
   }
-  SK.RowCopy(D, L[0], W);
+  rowCopy(D, L[0], W);
   for (std::size_t I = 1, E = L.size(); I != E; ++I)
-    SK.RowAnd(D, L[I], W);
+    rowAnd(D, L[I], W);
+}
+
+/// Eq. 9 finisher: D = (D | Give | Take) & ~Steal, with D arriving as
+/// the FORWARD/JUMP predecessor meet.
+inline void fuseGiveLoc(unsigned W, Word *__restrict D,
+                        const Word *__restrict Give,
+                        const Word *__restrict Take,
+                        const Word *__restrict Steal) {
+  for (unsigned K = 0; K != W; ++K)
+    D[K] = (D[K] | Give[K] | Take[K]) & ~Steal[K];
+}
+
+/// S1 (Eq. 1-3, 5-8) for one node, with Eq. 4's TAKEN_out already in
+/// \p TakenOut. The Sum* rows are the header summaries of Eq. 1-2 (the
+/// zero row for non-headers), the Entry*/Fwd/Ef rows the gathered
+/// successor unions; \p HoistMask is all ones, or zero for a NoHoist
+/// header, whose Eq. 6 must not pull TAKEN_out above the loop.
+inline void
+fuseS1(unsigned W, const Word *__restrict StealI, const Word *__restrict GiveI,
+       const Word *__restrict TakeI, const Word *__restrict SumSteal,
+       const Word *__restrict SumGive, const Word *__restrict EntryBlock,
+       const Word *__restrict EntryTaken, const Word *__restrict EntryTake,
+       const Word *__restrict FwdBlock, const Word *__restrict EfTake,
+       Word HoistMask, const Word *__restrict TakenOut,
+       Word *__restrict RSteal, Word *__restrict RGive,
+       Word *__restrict RBlock, Word *__restrict RTake,
+       Word *__restrict RTakenIn, Word *__restrict RBlockLoc,
+       Word *__restrict RTakeLoc) {
+  for (unsigned K = 0; K != W; ++K) {
+    // Eq. 1-3.
+    Word Steal = StealI[K] | SumSteal[K];
+    Word Give = GiveI[K] | SumGive[K];
+    Word Block = Steal | Give | EntryBlock[K];
+    // Eq. 5-8.
+    Word TOut = TakenOut[K];
+    Word Take =
+        TakeI[K] | (EntryTaken[K] & ~Steal) | (EntryTake[K] & TOut & ~Block);
+    Word TakenIn = Take | (TOut & ~Block & HoistMask);
+    Word BlockLoc = (Block | FwdBlock[K]) & ~Take;
+    Word TakeLoc = (EfTake[K] & ~Block) | Take;
+    RSteal[K] = Steal;
+    RGive[K] = Give;
+    RBlock[K] = Block;
+    RTake[K] = Take;
+    RTakenIn[K] = TakenIn;
+    RBlockLoc[K] = BlockLoc;
+    RTakeLoc[K] = TakeLoc;
+  }
+}
+
+/// S3 (Eq. 11-13) for one node and urgency. \p RGivenIn arrives holding
+/// the FORWARD/JUMP predecessor meet and is rewritten in place. The
+/// header in-flow is GIVEN(HEADER) - STEAL(HEADER), the soundness
+/// refinement documented on the classic solver's Eq. 11.
+inline void fuseS3(unsigned W, Word *__restrict RGivenIn,
+                   const Word *__restrict PredUnion,
+                   const Word *__restrict HdrGiven,
+                   const Word *__restrict HdrSteal,
+                   const Word *__restrict NTakenIn,
+                   const Word *__restrict NUrgent,
+                   const Word *__restrict NGive,
+                   const Word *__restrict NSteal, Word *__restrict RGiven,
+                   Word *__restrict RGivenOut) {
+  for (unsigned K = 0; K != W; ++K) {
+    Word In = RGivenIn[K] | (HdrGiven[K] & ~HdrSteal[K]) |
+              (PredUnion[K] & NTakenIn[K]);
+    Word Given = In | NUrgent[K];
+    RGivenIn[K] = In;
+    RGiven[K] = Given;
+    RGivenOut[K] = (NGive[K] | Given) & ~NSteal[K];
+  }
+}
+
+/// S4 (Eq. 14-15) for one node and urgency. \p RResOut arrives holding
+/// the successor GIVEN_in union. Returns the OR over the final RES_out
+/// words for the no-critical-edge assert. \p FlipEq14 is the fuzz fault
+/// injection, applied as a mask so the loop stays branch-free:
+/// GivenIn ^ ~0 == ~GivenIn.
+inline Word fuseS4(unsigned W, bool FlipEq14, const Word *__restrict RGiven,
+                   const Word *__restrict RGivenIn,
+                   const Word *__restrict RGivenOut, Word *__restrict RResIn,
+                   Word *__restrict RResOut) {
+  const Word Inv = FlipEq14 ? Word(0) : ~Word(0);
+  Word AnyOut = 0;
+  for (unsigned K = 0; K != W; ++K) {
+    RResIn[K] = RGiven[K] & (RGivenIn[K] ^ Inv);
+    Word Out = RResOut[K] & ~RGivenOut[K];
+    RResOut[K] = Out;
+    AnyOut |= Out;
+  }
+  return AnyOut;
 }
 
 /// The fused evaluator over the word window [\p WordOff, \p WordOff +
@@ -483,7 +585,6 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
   if (W == 0)
     return; // Empty window: nothing to compute.
   const std::vector<NodeId> &Pre = Ifg.preorder();
-  const SolverKernels &SK = solverKernels();
   const bool FlipEq14 =
       detail::InjectFusedSweepBug.load(std::memory_order_relaxed);
   // Step selectors for the masked re-solve; a cold solve runs everything.
@@ -629,11 +730,11 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       // (S preds are jumped-out intervals left mid-flight: their
       // resupplies cannot be subtracted.)
       Word *CStealLoc = row(FStealLoc, C);
-      SK.RowCopy(CStealLoc, row(FSteal, C), W);
+      rowCopy(CStealLoc, row(FSteal, C), W);
       for (std::size_t I = 0, IE = FjPredStealLoc.size(); I != IE; ++I)
-        SK.RowOrAndNot(CStealLoc, FjPredStealLoc[I], FjPredGiveLoc[I], W);
+        rowOrAndNot(CStealLoc, FjPredStealLoc[I], FjPredGiveLoc[I], W);
       for (const Word *S : SynPredStealLoc)
-        SK.RowOr(CStealLoc, S, W);
+        rowOr(CStealLoc, S, W);
       if (Refine)
         noteOutput(FStealLoc, C);
 
@@ -641,8 +742,8 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       //   (GIVE(c) u TAKE(c) u meet_{p in PREDS^FJ} GIVE_loc(p))
       //   - STEAL(c)
       Word *CGiveLoc = row(FGiveLoc, C);
-      gatherMeet(SK, CGiveLoc, FjPredGiveLoc, W);
-      SK.FuseGiveLoc(W, CGiveLoc, row(FGive, C), row(FTake, C),
+      gatherMeet(CGiveLoc, FjPredGiveLoc, W);
+      fuseGiveLoc(W, CGiveLoc, row(FGive, C), row(FTake, C),
                      row(FSteal, C));
       if (Refine)
         noteOutput(FGiveLoc, C);
@@ -716,20 +817,20 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
     // contributions (Section 5.3's per-header alternative to STEAL_init
     // poisoning), expressed as zero rows so fuseS1 stays branch-free.
     Word *RTakenOut = row(FTakenOut, Node);
-    gatherMeet(SK, RTakenOut, FjsTakenIn, W);
-    gatherUnion(SK, SEntryBlock, EntryBlockLoc, W);
-    gatherUnion(SK, SFwdBlock, FwdBlockLoc, W);
-    gatherUnion(SK, SEfTake, EfTakeLoc, W);
+    gatherMeet(RTakenOut, FjsTakenIn, W);
+    gatherUnion(SEntryBlock, EntryBlockLoc, W);
+    gatherUnion(SFwdBlock, FwdBlockLoc, W);
+    gatherUnion(SEfTake, EfTakeLoc, W);
     const Word *EntryTaken = ZeroRow;
     const Word *EntryTake = ZeroRow;
     if (Hoistable) {
-      gatherUnion(SK, SEntryTaken, EntryTakenIn, W);
-      gatherUnion(SK, SEntryTake, EntryTakeLoc, W);
+      gatherUnion(SEntryTaken, EntryTakenIn, W);
+      gatherUnion(SEntryTake, EntryTakeLoc, W);
       EntryTaken = SEntryTaken;
       EntryTake = SEntryTake;
     }
 
-    SK.FuseS1(W, P.StealInit[Node].words() + WordOff,
+    fuseS1(W, P.StealInit[Node].words() + WordOff,
               P.GiveInit[Node].words() + WordOff,
               P.TakeInit[Node].words() + WordOff, SumSteal, SumGive,
               SEntryBlock, EntryTaken, EntryTake, SFwdBlock, SEfTake,
@@ -797,9 +898,9 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
       // Predecessor meet lands straight in the GIVEN_in row, the union
       // in scratch; fuseS3 finishes Eq. 11-13 in one sweep.
       Word *RGivenIn = row(GivenInF, Node);
-      gatherMeet(SK, RGivenIn, FjPredGivenOut, W);
-      gatherUnion(SK, SPredUnion, FjPredGivenOut, W);
-      SK.FuseS3(W, RGivenIn, SPredUnion, HdrGiven, HdrSteal, NTakenIn,
+      gatherMeet(RGivenIn, FjPredGivenOut, W);
+      gatherUnion(SPredUnion, FjPredGivenOut, W);
+      fuseS3(W, RGivenIn, SPredUnion, HdrGiven, HdrSteal, NTakenIn,
                 Eager ? NTakenIn : NTake, NGive, NSteal, row(GivenF, Node),
                 row(GivenOutF, Node));
       if (Refine)
@@ -849,8 +950,8 @@ void solveIntoArena(const IntervalFlowGraph &Ifg, const GntProblem &P,
 
       // Eq. 15's successor union lands straight in the RES_out row;
       // fuseS4 finishes Eq. 14-15.
-      gatherUnion(SK, RResOut, FjSuccGivenIn, W);
-      Word AnyOut = SK.FuseS4(W, FlipEq14, RGiven, RGivenIn, RGivenOut,
+      gatherUnion(RResOut, FjSuccGivenIn, W);
+      Word AnyOut = fuseS4(W, FlipEq14, RGiven, RGivenIn, RGivenOut,
                               RResIn, RResOut);
       (void)AnyOut;
 
@@ -941,92 +1042,52 @@ GntResult gnt::solveGiveNTake(const IntervalFlowGraph &Ifg,
 // Item-sharded solve
 //===----------------------------------------------------------------------===//
 
-GntShardPolicy gnt::defaultShardPolicy() {
-  // Read the environment once per process: the policy must be stable
-  // for the lifetime of a service, not flip between requests.
-  static const GntShardPolicy Policy = [] {
-    GntShardPolicy P;
-    if (const char *Mode = std::getenv("GNT_SHARD_MODE"))
-      P.WorkStealing = std::string_view(Mode) == "steal";
-    return P;
-  }();
-  return Policy;
-}
+namespace {
 
-GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P, unsigned Shards,
-                                     ThreadPool &Pool) {
-  const unsigned N = Ifg.size();
-  const unsigned TotalWords = (P.UniverseSize + BitVector::WordBits - 1) /
-                              BitVector::WordBits;
-  if (Shards <= 1 || TotalWords <= 1)
-    return solveGiveNTake(Ifg, P);
-  Shards = std::min(Shards, TotalWords);
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  // Workers solve disjoint word ranges of one shared arena. Because no
-  // equation crosses word lanes, each range's words come out exactly as
-  // the serial solve computes them — byte-identity for every shard
-  // count, with no slicing or stitching step at all. Writes are to
-  // disjoint addresses and the pool's wait() orders them before the
-  // export below.
-  auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                            P.UniverseSize,
-                                            DataflowMatrix::Uninit);
-  for (unsigned S = 0; S != Shards; ++S) {
+/// Runs \p Fn(Begin, End) over \p Parts balanced static windows of
+/// [0, \p Total) on a pool of at most one worker per hardware thread,
+/// returning once every window has run. Callers write disjoint data
+/// per window, so any execution order yields the same bytes.
+template <typename FnT>
+void runStaticWindows(unsigned Total, unsigned Parts, FnT Fn) {
+  ThreadPool Pool(
+      std::min(Parts, std::max(std::thread::hardware_concurrency(), 1u)));
+  for (unsigned S = 0; S != Parts; ++S) {
     const unsigned A = static_cast<unsigned>(
-        static_cast<std::uint64_t>(TotalWords) * S / Shards);
+        static_cast<std::uint64_t>(Total) * S / Parts);
     const unsigned B = static_cast<unsigned>(
-        static_cast<std::uint64_t>(TotalWords) * (S + 1) / Shards);
-    Pool.submit([&Ifg, &P, &M, A, B] { solveRange(Ifg, P, *M, A, B); });
+        static_cast<std::uint64_t>(Total) * (S + 1) / Parts);
+    if (A != B)
+      Pool.submit([&Fn, A, B] { Fn(A, B); });
   }
   Pool.wait();
-  return exportArena(std::move(M), N);
 }
 
-GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                     const GntProblem &P, unsigned Shards,
-                                     const GntShardPolicy &Policy) {
-  const unsigned N = Ifg.size();
-  const unsigned TotalWords = (P.UniverseSize + BitVector::WordBits - 1) /
-                              BitVector::WordBits;
-  if (Shards <= 1 || TotalWords <= 1)
-    return solveGiveNTake(Ifg, P);
-  Shards = std::min(Shards, TotalWords);
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
-
-  unsigned Hardware = std::thread::hardware_concurrency();
-  if (Hardware == 0)
-    Hardware = 1;
-  const unsigned Workers = std::min({Shards, TotalWords, Hardware});
-
-  // Static mode splits the words into exactly Shards windows — the
-  // historical partition, one chunk per shard. Stealing mode oversplits
-  // (Oversplit chunks per shard) so that when word cost is skewed —
-  // e.g. a compressed problem whose hot classes cluster in a few words
-  // — idle workers can take chunks from the loaded ones. Either way the
-  // chunks are disjoint word windows of one shared arena, and every
-  // word is computed by the same sweep over the same inputs regardless
-  // of which worker runs it or when: any schedule is byte-identical to
-  // the serial solve.
-  const unsigned Parts =
-      Policy.WorkStealing ? Shards * std::max(Policy.Oversplit, 1u) : Shards;
-  const std::vector<WorkChunk> Chunks = splitRange(TotalWords, Parts);
-
-  auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
-                                            P.UniverseSize,
-                                            DataflowMatrix::Uninit);
-  runChunks(Chunks, Workers, Policy.NumaPinning, [&](WorkChunk C) {
-    solveRange(Ifg, P, *M, C.Begin, C.End);
-  });
-  return exportArena(std::move(M), N);
-}
+} // namespace
 
 GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
                                      const GntProblem &P, unsigned Shards) {
-  return solveGiveNTakeSharded(Ifg, P, Shards, defaultShardPolicy());
+  const unsigned N = Ifg.size();
+  const unsigned TotalWords = (P.UniverseSize + BitVector::WordBits - 1) /
+                              BitVector::WordBits;
+  if (Shards <= 1 || TotalWords <= 1)
+    return solveGiveNTake(Ifg, P);
+  Shards = std::min(Shards, TotalWords);
+  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
+         P.StealInit.size() == N && "problem not sized to the graph");
+
+  // Workers solve disjoint word windows of one shared arena. Because no
+  // equation crosses word lanes, each window's words come out exactly as
+  // the serial solve computes them — byte-identity for every shard
+  // count, with no slicing or stitching step at all. The pool's wait()
+  // orders every write before the export below.
+  auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
+                                            P.UniverseSize,
+                                            DataflowMatrix::Uninit);
+  runStaticWindows(TotalWords, Shards, [&](unsigned A, unsigned B) {
+    solveRange(Ifg, P, *M, A, B);
+  });
+  return exportArena(std::move(M), N);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1034,9 +1095,8 @@ GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
 //===----------------------------------------------------------------------===//
 
 GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
-                                        const GntProblem &P, unsigned Shards,
-                                        const GntShardPolicy *PolicyPtr) {
-  const GntShardPolicy Policy = PolicyPtr ? *PolicyPtr : defaultShardPolicy();
+                                        const GntProblem &P,
+                                        unsigned Shards) {
   const unsigned N = Ifg.size();
   assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
          P.StealInit.size() == N && "problem not sized to the graph");
@@ -1064,7 +1124,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
   const unsigned DstWords = (P.UniverseSize + BitVector::WordBits - 1) /
                             BitVector::WordBits;
   auto Fallback = [&] {
-    GntResult R = Shards > 1 ? solveGiveNTakeSharded(Ifg, P, Shards, Policy)
+    GntResult R = Shards > 1 ? solveGiveNTakeSharded(Ifg, P, Shards)
                              : solveGiveNTake(Ifg, P);
     R.Compression = Stats;
     return R;
@@ -1110,7 +1170,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
 
   // Solve the narrow problem with the existing arena/sharded machinery;
   // its (small) arena is only an intermediate here.
-  GntResult Narrow = Shards > 1 ? solveGiveNTakeSharded(Ifg, CP, Shards, Policy)
+  GntResult Narrow = Shards > 1 ? solveGiveNTakeSharded(Ifg, CP, Shards)
                                 : solveGiveNTake(Ifg, CP);
   const auto *MC = static_cast<const DataflowMatrix *>(Narrow.Arena.get());
   assert(MC && "arena solver always exports an arena");
@@ -1130,35 +1190,22 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
                                              P.UniverseSize,
                                              DataflowMatrix::Uninit);
   const unsigned NumRows = NumArenaFields * N;
-  const SolverKernels &SK = solverKernels();
   auto ExpandRows = [&](unsigned Lo, unsigned Hi) {
     if (!WordProg.empty()) {
       for (unsigned Row = Lo; Row != Hi; ++Row)
-        SK.ExpandRowWords(ME->row(Row), DstWords, MC->row(Row), SrcWords,
-                          WordProg.data(), WordProg.size());
+        expandRowWords(ME->row(Row), DstWords, MC->row(Row), SrcWords,
+                       WordProg);
     } else {
       for (unsigned Row = Lo; Row != Hi; ++Row)
         expandRow(ME->row(Row), DstWords, MC->row(Row), SrcWords, Plan);
     }
   };
-  // Expansion cost is *skewed* by construction — an all-zero source row
-  // degrades to one memset while a dense row pays the full segment
-  // program — so this is where work stealing (oversplit row chunks,
-  // idle workers raiding loaded deques) earns its keep over static
-  // windows. Rows are disjoint, so any schedule is byte-identical.
-  if (Shards > 1 && NumRows > 1) {
-    unsigned Hardware = std::thread::hardware_concurrency();
-    if (Hardware == 0)
-      Hardware = 1;
-    const unsigned Workers = std::min({Shards, NumRows, Hardware});
-    const unsigned Parts = Policy.WorkStealing
-                               ? Shards * std::max(Policy.Oversplit, 1u)
-                               : Shards;
-    runChunks(splitRange(NumRows, Parts), Workers, Policy.NumaPinning,
-              [&](WorkChunk C) { ExpandRows(C.Begin, C.End); });
-  } else {
+  // Rows are disjoint, so static row windows are byte-identical to the
+  // serial expansion.
+  if (Shards > 1 && NumRows > 1)
+    runStaticWindows(NumRows, std::min(Shards, NumRows), ExpandRows);
+  else
     ExpandRows(0, NumRows);
-  }
 
   GntResult R = exportArena(std::move(ME), N);
   R.Compression = Stats;

@@ -198,52 +198,15 @@ GntResult solveGiveNTake(const IntervalFlowGraph &Ifg, const GntProblem &P);
 GntResult solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
                                 const GntProblem &P);
 
-class ThreadPool;
-
-/// Scheduling policy for the sharded solve and the compressed-solve
-/// expansion. Results are byte-identical under every policy (the word
-/// windows are disjoint regardless of who executes them); this only
-/// chooses how windows map to workers.
-struct GntShardPolicy {
-  /// Oversplit the range and let workers steal: wins when window costs
-  /// are skewed (compressed expansion, non-uniform ItemClasses) or a
-  /// worker is slowed by a remote NUMA node. Off = one static window
-  /// per shard, the historical behavior.
-  bool WorkStealing = false;
-  /// Chunks per worker when stealing (clamped to the range).
-  unsigned Oversplit = 4;
-  /// Pin workers round-robin across NUMA nodes so first-touch places
-  /// each window on the node of the worker that sweeps it. No-op on
-  /// single-node machines.
-  bool NumaPinning = true;
-};
-
-/// The process-default policy: GNT_SHARD_MODE=steal turns work
-/// stealing on, anything else (or unset) keeps static windows. Read
-/// once per process.
-GntShardPolicy defaultShardPolicy();
-
-/// Solves \p P with the item universe partitioned into \p Shards
-/// word-aligned chunks solved independently (on \p Pool when given) and
-/// stitched back together. Equations 1-15 are item-wise independent —
-/// every operation is a bitwise AND/OR/ANDNOT that never crosses bit
-/// lanes — so any shard count yields results byte-identical to the
-/// serial solve; that invariance is a hard contract enforced by the
-/// property battery. Shards <= 1 (or a single-word universe) falls back
-/// to the serial arena solver; shard counts beyond the word count are
-/// clamped.
-GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P, unsigned Shards,
-                                ThreadPool &Pool);
-
-/// Policy-driven overload: spawns its own workers (min(Shards,
-/// hardware)) and schedules the word windows per \p Policy — static
-/// windows, or an oversplit range with work stealing and NUMA pinning.
-GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
-                                const GntProblem &P, unsigned Shards,
-                                const GntShardPolicy &Policy);
-
-/// Convenience overload using defaultShardPolicy().
+/// Solves \p P with the item universe split into \p Shards static,
+/// balanced word windows solved in parallel over one shared arena (at
+/// most one worker per hardware thread). Equations 1-15 are item-wise
+/// independent — every operation is a bitwise AND/OR/ANDNOT that never
+/// crosses bit lanes — so any shard count yields results byte-identical
+/// to the serial solve; that invariance is a hard contract enforced by
+/// the property battery. Shards <= 1 (or a single-word universe) falls
+/// back to the serial arena solver; shard counts beyond the word count
+/// are clamped.
 GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
                                 const GntProblem &P, unsigned Shards);
 
@@ -262,16 +225,12 @@ GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
 /// call falls back to the plain arena/sharded solve; the partition
 /// aborts as soon as its (monotone) live class count proves that
 /// outcome, bounding the overhead on incompressible problems to a
-/// fraction of the O(set bits) partition sweep. \p Shards applies to whichever solve runs (compressed or
-/// fallback). Compression accounting is reported in
-/// GntResult::Compression either way. \p Policy (defaultShardPolicy()
-/// when null) schedules both the narrow solve and the row expansion;
-/// expansion is where work stealing earns its keep, because all-zero
-/// rows degrade to a memset while segment-dense rows pay the full
-/// expand program.
+/// fraction of the O(set bits) partition sweep. \p Shards applies to
+/// whichever solve runs (compressed or fallback) and to the row
+/// expansion. Compression accounting is reported in
+/// GntResult::Compression either way.
 GntResult solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
-                                   const GntProblem &P, unsigned Shards = 0,
-                                   const GntShardPolicy *Policy = nullptr);
+                                   const GntProblem &P, unsigned Shards = 0);
 
 /// A complete, oriented GIVE-N-TAKE run.
 struct GntRun {

@@ -179,8 +179,8 @@ bool hasJumpOrSynthetic(const IntervalFlowGraph &Ifg) {
 std::shared_ptr<DataflowMatrix> cloneArena(const DataflowMatrix &Src) {
   auto Clone = std::make_shared<DataflowMatrix>(Src.rows(), Src.bits(),
                                                 DataflowMatrix::Uninit);
-  // Whole-storage copy, padding included: rows are stride-padded for
-  // lane alignment, so rows()*wordsPerRow() would under-copy.
+  // Rows are contiguous, so one copy of the whole storage clones them
+  // all.
   if (Src.storageWords())
     std::memcpy(Clone->row(0), Src.row(0),
                 Src.storageWords() * sizeof(DataflowMatrix::Word));

@@ -20,16 +20,9 @@
 /// construction and by the masked mutators below; the bitwise AND / OR
 /// / ANDNOT combinations the equations use preserve it automatically.
 ///
-/// Alignment contract (support/SimdKernels.h): the base allocation is
-/// 64-byte aligned and the distance between consecutive rows — the
-/// stride, rowStride() — is padded up to a multiple of 8 words, so a
-/// row that starts a 512-bit load never straddles into its neighbor
-/// and every row starts on a cache-line/lane boundary. The padding
-/// words are storage only: row(), extractRow(), rowNone(), and the
-/// solver all address exactly wordsPerRow() words per row, and
-/// borrowWords exports read exactly that many, so padding can never
-/// leak into results. Debug builds poison Uninit storage (0xA5) to
-/// make any read-before-write or padding leak loud.
+/// Rows are contiguous: row R starts exactly R * wordsPerRow() words
+/// into the allocation, with no padding between rows. Debug builds
+/// poison Uninit storage (0xA5) to make any read-before-write loud.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +34,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -56,11 +48,6 @@ class DataflowMatrix {
 public:
   using Word = BitVector::Word;
   static constexpr unsigned WordBits = BitVector::WordBits;
-
-  /// Rows are padded to a multiple of this many words (one 64-byte
-  /// SIMD lane) and the base allocation is aligned to match.
-  static constexpr unsigned LaneWords = 8;
-  static constexpr std::size_t LaneBytes = LaneWords * sizeof(Word);
 
   /// Tag requesting an uninitialized arena (see the tagged constructor).
   struct UninitTag {};
@@ -87,8 +74,7 @@ public:
   DataflowMatrix(unsigned NumRows, unsigned NumBits, UninitTag)
       : NRows(NumRows), NBits(NumBits),
         WPerRow((NumBits + WordBits - 1) / WordBits),
-        WStride(padStride(WPerRow)),
-        NWords(static_cast<std::size_t>(NumRows) * WStride),
+        NWords(static_cast<std::size_t>(NumRows) * WPerRow),
         Words(allocWords(NWords)) {
 #ifndef NDEBUG
     // Poison uninitialized storage so a row that is read (or exported)
@@ -113,8 +99,7 @@ public:
   DataflowMatrix(unsigned NumRows, unsigned NumBits, LazyZeroedTag)
       : NRows(NumRows), NBits(NumBits),
         WPerRow((NumBits + WordBits - 1) / WordBits),
-        WStride(padStride(WPerRow)),
-        NWords(static_cast<std::size_t>(NumRows) * WStride) {
+        NWords(static_cast<std::size_t>(NumRows) * WPerRow) {
 #if GNT_DATAFLOWMATRIX_HAVE_MMAP
     if (NWords) {
       void *P = ::mmap(nullptr, NWords * sizeof(Word),
@@ -133,7 +118,7 @@ public:
 
   DataflowMatrix(DataflowMatrix &&RHS) noexcept
       : NRows(RHS.NRows), NBits(RHS.NBits), WPerRow(RHS.WPerRow),
-        WStride(RHS.WStride), NWords(RHS.NWords), Words(RHS.Words),
+        NWords(RHS.NWords), Words(RHS.Words),
         Mapped(RHS.Mapped) {
     RHS.Words = nullptr;
     RHS.NWords = 0;
@@ -145,7 +130,6 @@ public:
       NRows = RHS.NRows;
       NBits = RHS.NBits;
       WPerRow = RHS.WPerRow;
-      WStride = RHS.WStride;
       NWords = RHS.NWords;
       Words = RHS.Words;
       Mapped = RHS.Mapped;
@@ -163,12 +147,7 @@ public:
   unsigned bits() const { return NBits; }
   unsigned wordsPerRow() const { return WPerRow; }
 
-  /// Words between consecutive row starts; >= wordsPerRow(), padded to
-  /// a LaneWords multiple. The words past wordsPerRow() are padding —
-  /// storage, never data.
-  unsigned rowStride() const { return WStride; }
-
-  /// Total allocated words (rows() * rowStride()), for whole-arena
+  /// Total allocated words (rows() * wordsPerRow()), for whole-arena
   /// copies such as the incremental solver's memo clone.
   std::size_t storageWords() const { return NWords; }
 
@@ -181,11 +160,11 @@ public:
 
   Word *row(unsigned R) {
     assert(R < NRows && "row out of range");
-    return Words + static_cast<std::size_t>(R) * WStride;
+    return Words + static_cast<std::size_t>(R) * WPerRow;
   }
   const Word *row(unsigned R) const {
     assert(R < NRows && "row out of range");
-    return Words + static_cast<std::size_t>(R) * WStride;
+    return Words + static_cast<std::size_t>(R) * WPerRow;
   }
 
   /// Zeroes every row.
@@ -241,15 +220,10 @@ public:
   }
 
 private:
-  static unsigned padStride(unsigned WordsPerRow) {
-    return (WordsPerRow + LaneWords - 1) / LaneWords * LaneWords;
-  }
-
   static Word *allocWords(std::size_t N) {
     if (!N)
       return nullptr;
-    return static_cast<Word *>(
-        ::operator new(N * sizeof(Word), std::align_val_t(LaneBytes)));
+    return new Word[N];
   }
 
   void release() {
@@ -262,14 +236,13 @@ private:
       return;
     }
 #endif
-    ::operator delete(Words, std::align_val_t(LaneBytes));
+    delete[] Words;
     Words = nullptr;
   }
 
   unsigned NRows = 0;
   unsigned NBits = 0;
   unsigned WPerRow = 0;
-  unsigned WStride = 0;
   std::size_t NWords = 0;
   Word *Words = nullptr; ///< Matrix storage; the class is move-only.
   bool Mapped = false;   ///< Storage came from mmap, not new[].

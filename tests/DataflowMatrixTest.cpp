@@ -163,52 +163,18 @@ TEST(DataflowMatrix, GntResultCopyOutlivesItsArena) {
   });
 }
 
-TEST(DataflowMatrix, RowsAreLaneAlignedAndStridePadded) {
-  // The SIMD alignment contract (support/SimdKernels.h): base and every
-  // row start on a 64-byte boundary, and the stride is the word count
-  // rounded up to a lane multiple — so a 512-bit load of a row's last
-  // words never straddles into the next row.
-  for (unsigned Bits : {1u, 63u, 64u, 65u, 130u, 512u, 513u}) {
+TEST(DataflowMatrix, RowsAreContiguous) {
+  // No padding between rows: the storage is exactly rows x words, and
+  // each row starts where the previous one's last data word ends.
+  for (unsigned Bits : {1u, 63u, 64u, 65u, 130u}) {
     DataflowMatrix M(5, Bits);
-    EXPECT_EQ(M.rowStride() % DataflowMatrix::LaneWords, 0u)
-        << "bits " << Bits;
-    EXPECT_GE(M.rowStride(), M.wordsPerRow()) << "bits " << Bits;
-    EXPECT_LT(M.rowStride(), M.wordsPerRow() + DataflowMatrix::LaneWords)
-        << "bits " << Bits;
     EXPECT_EQ(M.storageWords(),
-              static_cast<std::size_t>(M.rows()) * M.rowStride())
+              static_cast<std::size_t>(M.rows()) * M.wordsPerRow())
         << "bits " << Bits;
-    for (unsigned R = 0; R != 5; ++R)
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(M.row(R)) %
-                    DataflowMatrix::LaneBytes,
-                0u)
+    for (unsigned R = 0; R + 1 != M.rows(); ++R)
+      EXPECT_EQ(M.row(R + 1) - M.row(R),
+                static_cast<std::ptrdiff_t>(M.wordsPerRow()))
           << "bits " << Bits << " row " << R;
-  }
-}
-
-TEST(DataflowMatrix, PaddingNeverLeaksIntoExports) {
-  // Fill the padding words behind every row with garbage through the
-  // raw stride, then check that extraction, comparison, and the
-  // exportability probe see only the data words. This is the
-  // tail-word/padding contract borrowWords exports rely on.
-  for (unsigned Bits : {1u, 63u, 65u, 130u}) {
-    DataflowMatrix M(3, Bits);
-    BitVector V(Bits);
-    for (unsigned I = 0; I < Bits; I += 3)
-      V.set(I);
-    for (unsigned R = 0; R != 3; ++R)
-      M.assignRow(R, V);
-    for (unsigned R = 0; R != 3; ++R) {
-      DataflowMatrix::Word *Row = M.row(R);
-      for (unsigned W = M.wordsPerRow(); W != M.rowStride(); ++W)
-        Row[W] = ~DataflowMatrix::Word(0);
-    }
-    EXPECT_TRUE(M.rowsExportable()) << "bits " << Bits;
-    for (unsigned R = 0; R != 3; ++R) {
-      EXPECT_EQ(M.extractRow(R), V) << "bits " << Bits << " row " << R;
-      BitVector Borrowed = BitVector::borrowWords(M.row(R), Bits);
-      EXPECT_EQ(Borrowed.count(), V.count()) << "bits " << Bits;
-    }
   }
 }
 

@@ -23,12 +23,10 @@
 #include "service/StageCache.h"
 #include "sim/TraceSimulator.h"
 #include "support/Json.h"
-#include "support/SimdKernels.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -113,10 +111,6 @@ void usage(std::FILE *To) {
       "  --audit-json      like --audit, printing JSON diagnostics on stdout\n"
       "  --werror          treat audit/verify warnings and notes as errors\n"
       "\n"
-      "  --list-kernels    print the solver kernel variants this binary\n"
-      "                    can run on this machine, marking the active\n"
-      "                    one (GNT_KERNEL=scalar|avx2|avx512|neon\n"
-      "                    overrides the automatic selection)\n"
       "  --help            print this help\n");
 }
 
@@ -153,7 +147,7 @@ const char *const KnownFlags[] = {
     "--analyze",       "--analyze-json",
     "--verify",        "--audit",
     "--audit-json",    "--werror",
-    "--list-kernels",  "--help",
+    "--help",
 };
 
 /// Nearest known flag within edit distance 2 of \p A, or empty.
@@ -277,15 +271,6 @@ bool parseArgs(int Argc, char **Argv, Options &O, int &Exit) {
       O.Pipe.Annotate = false;
     } else if (A == "--analyze-json") {
       O.AnalyzeJson = true;
-    } else if (A == "--list-kernels") {
-      // Resolves the selection exactly the way a solve would (including
-      // the GNT_KERNEL override), so what this prints is what runs.
-      const char *Active = solverKernelName();
-      for (const SolverKernels *K : availableSolverKernels())
-        std::printf("%s%s\n", K->Name,
-                    std::strcmp(K->Name, Active) == 0 ? " (active)" : "");
-      Exit = 0;
-      return false;
     } else if (A == "--help") {
       usage(stdout);
       Exit = 0;
