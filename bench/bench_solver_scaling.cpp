@@ -130,6 +130,26 @@ void BM_IntervalBuild(benchmark::State &State) {
 }
 BENCHMARK(BM_IntervalBuild)->Arg(100)->Arg(400)->Arg(1600);
 
+/// READ/WRITE problem construction from a finished reference analysis:
+/// each steal predicate runs only inside its array/indirection/scalar
+/// bucket, so us/node should stay flat as the program grows.
+void BM_CommProblems(benchmark::State &State) {
+  unsigned Stmts = static_cast<unsigned>(State.range(0));
+  Built B = buildRandom(5, Stmts);
+  RefAnalysisResult Refs = analyzeReferences(B.Prog, B.G);
+  for (auto _ : State) {
+    GntProblem Read, Write;
+    buildCommProblems(Refs, B.G, B.Ifg, CommOptions(), Read, Write);
+    benchmark::DoNotOptimize(Write.StealInit.data());
+    benchmark::ClobberMemory();
+  }
+  State.counters["items"] = Refs.Items.size();
+  State.counters["us/node"] = benchmark::Counter(
+      static_cast<double>(State.iterations()) * B.G.size() / 1e6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CommProblems)->Arg(100)->Arg(400)->Arg(1600);
+
 //===----------------------------------------------------------------------===//
 // Wide-universe sweeps: arena vs classic evaluator, and item sharding
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,9 @@
 #include "ir/AstPrinter.h"
 #include "support/Support.h"
 
+#include <string_view>
+#include <unordered_map>
+
 using namespace gnt;
 
 const char *gnt::commOpName(CommOpKind K) {
@@ -37,15 +40,57 @@ std::string displayKey(const Item &I) {
   return Pos == std::string::npos ? I.Key : I.Key.substr(0, Pos);
 }
 
+/// Item ids grouped by a name: the array an item lives in, the array it
+/// is subscripted through, or a scalar its bounds depend on. Keys view
+/// the interned items' strings, which outlive the buckets.
+using ItemBuckets = std::unordered_map<std::string_view, std::vector<unsigned>>;
+
+const std::vector<unsigned> &bucket(const ItemBuckets &B,
+                                    std::string_view Name) {
+  static const std::vector<unsigned> Empty;
+  auto It = B.find(Name);
+  return It == B.end() ? Empty : It->second;
+}
+
 } // namespace
 
 void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
                             const IntervalFlowGraph &Ifg,
                             const CommOptions &Opts, GntProblem &Read,
                             GntProblem &Write) {
-  unsigned U = Refs.Items.size();
+  const ItemTable &Items = Refs.Items;
+  unsigned U = Items.size();
   Read = GntProblem(G.size(), U, Direction::Before);
   Write = GntProblem(G.size(), U, Direction::After);
+
+  // Every steal below relates items of one array, items subscripted
+  // through one array, or items depending on one scalar; indexing the
+  // universe by those names keeps construction linear in the references
+  // plus the overlapping pairs instead of nodes x universe.
+  ItemBuckets ByArray, ByIndirect, BySymbol;
+  for (unsigned I = 0; I != U; ++I) {
+    const Item &It = Items.item(I);
+    ByArray[It.Array].push_back(I);
+    if (It.isIndirect())
+      ByIndirect[It.IndirectArray].push_back(I);
+    for (const std::string &Sym : It.DependsOn)
+      BySymbol[Sym].push_back(I);
+  }
+
+  // Items overlapping a used item, computed once per used item over its
+  // own array's bucket (mayOverlap is false across arrays).
+  std::vector<std::vector<unsigned>> Overlaps(U);
+  std::vector<bool> OverlapsKnown(U);
+  auto overlapsOf = [&](unsigned Use) -> const std::vector<unsigned> & {
+    if (!OverlapsKnown[Use]) {
+      OverlapsKnown[Use] = true;
+      const Item &UseItem = Items.item(Use);
+      for (unsigned I : bucket(ByArray, UseItem.Array))
+        if (Items.item(I).mayOverlap(UseItem))
+          Overlaps[Use].push_back(I);
+    }
+    return Overlaps[Use];
+  };
 
   for (NodeId N = 0; N != G.size(); ++N) {
     const NodeRefs &R = Refs.PerNode[N];
@@ -56,9 +101,8 @@ void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
     // the written values must reach their owners before any processor
     // re-fetches them (Figure 3's placement).
     for (unsigned Use : R.Uses)
-      for (unsigned I = 0; I != U; ++I)
-        if (Refs.Items.item(I).mayOverlap(Refs.Items.item(Use)))
-          Write.StealInit[N].set(I);
+      for (unsigned I : overlapsOf(Use))
+        Write.StealInit[N].set(I);
 
     for (unsigned DI = 0; DI != R.Defs.size(); ++DI) {
       unsigned Def = R.Defs[DI];
@@ -75,61 +119,44 @@ void gnt::buildCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
 
     // Any array definition (distributed or not) steals READ items that
     // overlap the written section or are subscripted through the written
-    // array.
+    // array; no other item can be affected.
     for (const RawDef &D : Refs.ArrayDefs[N]) {
-      for (unsigned I = 0; I != U; ++I) {
-        const Item &It = Refs.Items.item(I);
-        bool Steals = false;
-        if (It.Array == D.Array) {
-          // Same array: stolen unless it is exactly the defined (and
-          // hence freshly given) non-volatile direct section.
-          Item DefItem;
-          DefItem.Array = D.Array;
-          DefItem.Sec = D.Sec;
-          DefItem.Volatile = D.Opaque;
-          Steals = It.mayOverlap(DefItem);
-          // The definition itself is given, not stolen — except for
-          // reductions, which update the owner without making the global
-          // value locally available.
-          if (Steals && !D.Reduction && !D.Opaque && !It.Volatile &&
-              !It.isIndirect() && It.Sec == D.Sec)
-            Steals = false;
-        }
-        // Writing the indirection array invalidates items subscripted
-        // through it, e.g. a def of a(...) steals x(a(...)).
-        if (!Steals && It.isIndirect() && It.IndirectArray == D.Array)
-          Steals = D.Opaque || It.Sec.mayOverlap(D.Sec);
+      Item DefItem;
+      DefItem.Array = D.Array;
+      DefItem.Sec = D.Sec;
+      DefItem.Volatile = D.Opaque;
+      for (unsigned I : bucket(ByArray, D.Array)) {
+        const Item &It = Items.item(I);
+        // Same array: stolen unless it is exactly the defined (and hence
+        // freshly given) non-volatile direct section. The definition
+        // itself is given, not stolen — except for reductions, which
+        // update the owner without making the global value locally
+        // available.
+        bool Steals = It.mayOverlap(DefItem);
+        if (Steals && !D.Reduction && !D.Opaque && !It.Volatile &&
+            !It.isIndirect() && It.Sec == D.Sec)
+          Steals = false;
         if (Steals)
           Read.StealInit[N].set(I);
       }
-    }
-
-    // Indirection-array and scalar invalidation applies to pending
-    // write-backs as well: the item's identity changes.
-    for (const RawDef &D : Refs.ArrayDefs[N])
-      for (unsigned I = 0; I != U; ++I) {
-        const Item &It = Refs.Items.item(I);
-        if (It.isIndirect() && It.IndirectArray == D.Array &&
-            (D.Opaque || It.Sec.mayOverlap(D.Sec)))
+      // Writing the indirection array invalidates items subscripted
+      // through it, e.g. a def of a(...) steals x(a(...)) — and, since
+      // the item's identity changes, its pending write-backs as well.
+      for (unsigned I : bucket(ByIndirect, D.Array))
+        if (D.Opaque || Items.item(I).Sec.mayOverlap(D.Sec)) {
+          Read.StealInit[N].set(I);
           Write.StealInit[N].set(I);
-      }
+        }
+    }
   }
 
   // Reassigning a scalar a section depends on breaks the value number.
-  for (const auto &[Scalar, Nodes] : Refs.ScalarAssigns) {
-    for (unsigned I = 0; I != U; ++I) {
-      const Item &It = Refs.Items.item(I);
-      bool Depends = false;
-      for (const std::string &Sym : It.DependsOn)
-        Depends |= Sym == Scalar;
-      if (!Depends)
-        continue;
+  for (const auto &[Scalar, Nodes] : Refs.ScalarAssigns)
+    for (unsigned I : bucket(BySymbol, Scalar))
       for (NodeId N : Nodes) {
         Read.StealInit[N].set(I);
         Write.StealInit[N].set(I);
       }
-    }
-  }
 
   // Zero-trip hoisting opt-out (Section 4.1): every loop is treated
   // pessimistically — no consumption hoisted above it, no in-body

@@ -6,8 +6,6 @@
 
 #include "comm/Items.h"
 
-#include <set>
-
 using namespace gnt;
 
 namespace {
@@ -65,6 +63,7 @@ unsigned ItemTable::intern(Item I) {
   if (!I.Volatile)
     ByKey.emplace(I.Key, Id);
   Items.push_back(std::move(I));
+  SeenDef.push_back(false);
   return Id;
 }
 
@@ -79,11 +78,12 @@ std::vector<std::string> ItemTable::names() const {
 void ItemTable::noteDefinitionKind(unsigned Id, char ReduceOp) {
   assert(Id < Items.size() && "bad item id");
   Item &I = Items[Id];
-  if (!SeenDef.insert(Id).second) {
+  if (SeenDef[Id]) {
     if (I.ReductionOp != ReduceOp)
       I.ReductionOp = 0; // Mixed definition kinds: fall back to plain.
     return;
   }
+  SeenDef[Id] = true;
   I.ReductionOp = ReduceOp;
 }
 

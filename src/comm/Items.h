@@ -26,7 +26,6 @@
 
 #include <cassert>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -102,7 +101,8 @@ public:
 private:
   std::vector<Item> Items;
   std::map<std::string, unsigned> ByKey;
-  std::set<unsigned> SeenDef;
+  /// Per item: has noteDefinitionKind seen a definition yet.
+  std::vector<bool> SeenDef;
 };
 
 } // namespace gnt

@@ -94,10 +94,12 @@ AffineExpr AffineExpr::substitute(const std::string &Sym,
 std::optional<long long> AffineExpr::differenceFrom(const AffineExpr &RHS) const {
   if (!Affine || !RHS.Affine)
     return std::nullopt;
-  AffineExpr D = *this - RHS;
-  if (!D.isConstant())
+  // Terms never holds a zero coefficient: operator+ erases cancelled
+  // terms and no other operation creates one. So this - RHS is constant
+  // exactly when both sides have the same terms — no temporary needed.
+  if (Terms != RHS.Terms)
     return std::nullopt;
-  return D.getConstant();
+  return Const - RHS.Const;
 }
 
 bool AffineExpr::operator<(const AffineExpr &RHS) const {

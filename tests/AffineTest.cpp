@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 using namespace gnt;
 using namespace gnt::build;
 
@@ -100,6 +103,72 @@ TEST(Affine, DifferenceFrom) {
 
   AffineExpr M = AffineExpr::symbol("m");
   EXPECT_FALSE(N5.differenceFrom(M).has_value());
+}
+
+namespace {
+
+/// A grid of affine values: constants, single and multiple symbols,
+/// scaled and substituted terms, and the non-affine value.
+std::vector<AffineExpr> differenceGrid() {
+  AffineExpr N = AffineExpr::symbol("n");
+  AffineExpr M = AffineExpr::symbol("m");
+  AffineExpr I = AffineExpr::symbol("i");
+  auto C = [](long long V) { return AffineExpr::constant(V); };
+  std::vector<AffineExpr> Grid;
+  for (long long V : {-7LL, -1LL, 0LL, 1LL, 3LL, 1000000LL}) {
+    Grid.push_back(C(V));
+    Grid.push_back(N + C(V));
+    Grid.push_back(N * C(2) + C(V));
+    Grid.push_back(N + M + C(V));
+    Grid.push_back(M - N + C(V));
+  }
+  Grid.push_back((N + C(1)) - N); // Cancels to the constant 1.
+  Grid.push_back(N - N);
+  Grid.push_back(N.negate());
+  Grid.push_back((I + C(10)).substitute("i", N + C(1)));
+  Grid.push_back((I * C(2) + N).substitute("i", N.negate()));
+  Grid.push_back((I + N).substitute("i", C(4)));
+  Grid.push_back(I * C(0));
+  Grid.push_back(AffineExpr());
+  Grid.push_back(I * N);
+  return Grid;
+}
+
+} // namespace
+
+TEST(Affine, DifferenceFromMatchesSubtraction) {
+  std::vector<AffineExpr> Grid = differenceGrid();
+  for (const AffineExpr &A : Grid)
+    for (const AffineExpr &B : Grid) {
+      AffineExpr D = A - B;
+      std::optional<long long> Want =
+          D.isConstant() ? std::optional<long long>(D.getConstant())
+                         : std::nullopt;
+      EXPECT_EQ(A.differenceFrom(B), Want)
+          << A.toString() << " - " << B.toString();
+    }
+}
+
+TEST(Affine, TermsNeverHoldZeroCoefficient) {
+  auto expectNoZero = [](const AffineExpr &E) {
+    for (const auto &[Sym, C] : E.getTerms())
+      EXPECT_NE(C, 0) << Sym << " in " << E.toString();
+  };
+  std::vector<AffineExpr> Grid = differenceGrid();
+  AffineExpr N = AffineExpr::symbol("n");
+  for (const AffineExpr &A : Grid) {
+    expectNoZero(A);
+    expectNoZero(A.negate());
+    expectNoZero(A.substitute("n", N.negate()));
+    expectNoZero(A.substitute("m", N + AffineExpr::constant(2)));
+    for (long long K : {-2LL, 0LL, 1LL, 3LL})
+      expectNoZero(A * AffineExpr::constant(K));
+    for (const AffineExpr &B : Grid) {
+      expectNoZero(A + B);
+      expectNoZero(A - B);
+      expectNoZero(A * B);
+    }
+  }
 }
 
 TEST(Section, Printing) {

@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <tuple>
 
 using namespace gnt;
 using namespace gnt::test;
@@ -468,4 +469,182 @@ TEST_P(IncrementalEquivalence, EditSweepMatchesColdCompile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
+                         ::testing::Range(1u, 101u));
+
+//===----------------------------------------------------------------------===//
+// Communication-problem construction vs. a brute-force reference
+//===----------------------------------------------------------------------===//
+//
+// buildCommProblems indexes the item universe by array, by indirection
+// array and by dependent scalar, and evaluates each steal predicate only
+// inside the matching bucket. The reference below is the direct
+// O(nodes x universe) reading of the same rules: every item is tested
+// against every use and every array definition of every node. Both must
+// set exactly the same TAKE/GIVE/STEAL_init bits. Each seed compiles a
+// generated program from one of the generator buckets, plain and with an
+// epilogue adding reductions, volatile items (subscripts through
+// reassigned scalars, non-affine subscripts) and indirection-array
+// definitions, under three option sets.
+
+namespace {
+
+class CommProblemsReference : public ::testing::TestWithParam<unsigned> {};
+
+void referenceCommProblems(const RefAnalysisResult &Refs, const Cfg &G,
+                           const IntervalFlowGraph &Ifg,
+                           const CommOptions &Opts, GntProblem &Read,
+                           GntProblem &Write) {
+  unsigned U = Refs.Items.size();
+  Read = GntProblem(G.size(), U, Direction::Before);
+  Write = GntProblem(G.size(), U, Direction::After);
+  for (NodeId N = 0; N != G.size(); ++N) {
+    const NodeRefs &R = Refs.PerNode[N];
+    for (unsigned Use : R.Uses)
+      Read.TakeInit[N].set(Use);
+    for (unsigned Use : R.Uses)
+      for (unsigned I = 0; I != U; ++I)
+        if (Refs.Items.item(I).mayOverlap(Refs.Items.item(Use)))
+          Write.StealInit[N].set(I);
+    for (unsigned DI = 0; DI != R.Defs.size(); ++DI) {
+      unsigned Def = R.Defs[DI];
+      bool IsReduction = DI < R.DefOps.size() && R.DefOps[DI] != 0;
+      if (!Opts.OwnerComputes && !IsReduction)
+        Read.GiveInit[N].set(Def);
+      if (!Opts.OwnerComputes)
+        Write.TakeInit[N].set(Def);
+    }
+    for (const RawDef &D : Refs.ArrayDefs[N])
+      for (unsigned I = 0; I != U; ++I) {
+        const Item &It = Refs.Items.item(I);
+        bool Steals = false;
+        if (It.Array == D.Array) {
+          Item DefItem;
+          DefItem.Array = D.Array;
+          DefItem.Sec = D.Sec;
+          DefItem.Volatile = D.Opaque;
+          Steals = It.mayOverlap(DefItem);
+          if (Steals && !D.Reduction && !D.Opaque && !It.Volatile &&
+              !It.isIndirect() && It.Sec == D.Sec)
+            Steals = false;
+        }
+        if (!Steals && It.isIndirect() && It.IndirectArray == D.Array)
+          Steals = D.Opaque || It.Sec.mayOverlap(D.Sec);
+        if (Steals)
+          Read.StealInit[N].set(I);
+      }
+    for (const RawDef &D : Refs.ArrayDefs[N])
+      for (unsigned I = 0; I != U; ++I) {
+        const Item &It = Refs.Items.item(I);
+        if (It.isIndirect() && It.IndirectArray == D.Array &&
+            (D.Opaque || It.Sec.mayOverlap(D.Sec)))
+          Write.StealInit[N].set(I);
+      }
+  }
+  for (const auto &[Scalar, Nodes] : Refs.ScalarAssigns)
+    for (unsigned I = 0; I != U; ++I) {
+      bool Depends = false;
+      for (const std::string &Sym : Refs.Items.item(I).DependsOn)
+        Depends |= Sym == Scalar;
+      if (Depends)
+        for (NodeId N : Nodes) {
+          Read.StealInit[N].set(I);
+          Write.StealInit[N].set(I);
+        }
+    }
+  if (!Opts.HoistZeroTrip)
+    for (NodeId N = 0; N != G.size(); ++N)
+      if (N != Ifg.root() && Ifg.isHeader(N)) {
+        Read.NoHoistHeaders.push_back(N);
+        Write.NoHoistHeaders.push_back(N);
+      }
+}
+
+/// Appended to generated programs (which declare x0..x2 distributed and
+/// a0, a1 local): reductions over direct and indirect sections, items
+/// subscripted through the reassigned scalar k (volatile, stolen at each
+/// assignment), a non-affine subscript, strided sections and
+/// definitions of the indirection array a0.
+constexpr const char *Epilogue = "k = n - 2\n"
+                                 "do j = 1, n\n"
+                                 "  x0(j) = x0(j) + x1(k)\n"
+                                 "  x1(a0(j)) = x1(a0(j)) * x2(j + 1)\n"
+                                 "  a0(j + 1) = x0(j + 1)\n"
+                                 "  x2(a1(k)) = x0(2*j - 1)\n"
+                                 "  x0(2*j) = x0(2*j) + 1\n"
+                                 "enddo\n"
+                                 "x2(x1(a0(1))) = x0(k) + x2(n - 1)\n"
+                                 "k = k + 1\n"
+                                 "x1(k) = x1(n) + x1(a0(2))\n";
+
+void expectBitsEqual(const std::vector<BitVector> &Want,
+                     const std::vector<BitVector> &Got, const char *What,
+                     const std::string &How) {
+  ASSERT_EQ(Want.size(), Got.size()) << What << " (" << How << ")";
+  for (std::size_t N = 0; N != Want.size(); ++N)
+    EXPECT_TRUE(Want[N] == Got[N]) << What << " node " << N << " (" << How
+                                   << ")";
+}
+
+/// Compares buildCommProblems with the reference on \p Source. With
+/// \p ExpectEveryKind the universe must hold indirect, reduction and
+/// volatile items and the program must reassign a scalar, so every
+/// bucket kind is exercised.
+void compareWithReference(const std::string &Source, const std::string &How,
+                          bool ExpectEveryKind) {
+  ParseResult PR = parseProgram(Source);
+  ASSERT_TRUE(PR.success()) << How << ": "
+                            << (PR.Errors.empty() ? "" : PR.Errors.front());
+  auto B = buildProgram(std::move(PR.Prog));
+  ASSERT_TRUE(B.has_value()) << How;
+  RefAnalysisResult Refs = analyzeReferences(B->Prog, B->G);
+  if (ExpectEveryKind) {
+    bool Indirect = false, Reduction = false, Volatile = false;
+    for (unsigned I = 0; I != Refs.Items.size(); ++I) {
+      const Item &It = Refs.Items.item(I);
+      Indirect |= It.isIndirect();
+      Reduction |= It.ReductionOp != 0;
+      Volatile |= It.Volatile;
+    }
+    EXPECT_TRUE(Indirect && Reduction && Volatile) << How;
+    EXPECT_FALSE(Refs.ScalarAssigns.empty()) << How;
+  }
+
+  CommOptions Owner;
+  Owner.OwnerComputes = true;
+  CommOptions NoHoist;
+  NoHoist.HoistZeroTrip = false;
+  for (const auto &[Name, Opts] :
+       {std::pair<const char *, CommOptions>{"default", CommOptions()},
+        {"owner-computes", Owner},
+        {"no-hoist-zero-trip", NoHoist}}) {
+    std::string Label = How + " " + Name;
+    GntProblem Read, Write, WantRead, WantWrite;
+    buildCommProblems(Refs, B->G, B->Ifg, Opts, Read, Write);
+    referenceCommProblems(Refs, B->G, B->Ifg, Opts, WantRead, WantWrite);
+    for (auto [Problem, Want, Got] :
+         {std::tuple<const char *, GntProblem *, GntProblem *>{
+              "READ", &WantRead, &Read},
+          {"WRITE", &WantWrite, &Write}}) {
+      std::string Where = Label + " " + Problem;
+      EXPECT_EQ(Want->Dir, Got->Dir) << Where;
+      EXPECT_EQ(Want->UniverseSize, Got->UniverseSize) << Where;
+      expectBitsEqual(Want->TakeInit, Got->TakeInit, "TakeInit", Where);
+      expectBitsEqual(Want->GiveInit, Got->GiveInit, "GiveInit", Where);
+      expectBitsEqual(Want->StealInit, Got->StealInit, "StealInit", Where);
+      EXPECT_EQ(Want->NoHoistHeaders, Got->NoHoistHeaders) << Where;
+    }
+  }
+}
+
+} // namespace
+
+TEST_P(CommProblemsReference, BucketedBuildMatchesBruteForce) {
+  unsigned Seed = GetParam();
+  std::string Source = AstPrinter().print(generateRandomProgram(
+      genConfigForBucket(Seed % NumGenBuckets, Seed)));
+  compareWithReference(Source, "generated", false);
+  compareWithReference(Source + Epilogue, "generated+epilogue", true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CommProblemsReference,
                          ::testing::Range(1u, 101u));
