@@ -150,6 +150,27 @@ void BM_CommProblems(benchmark::State &State) {
 }
 BENCHMARK(BM_CommProblems)->Arg(100)->Arg(400)->Arg(1600);
 
+/// Reference analysis of a finished CFG: item keys, section expansion and
+/// reduction detection per array reference, so us/ref should stay flat
+/// as the program grows.
+void BM_RefAnalysis(benchmark::State &State) {
+  unsigned Stmts = static_cast<unsigned>(State.range(0));
+  Built B = buildRandom(5, Stmts);
+  std::size_t Refs = 0;
+  for (auto _ : State) {
+    RefAnalysisResult R = analyzeReferences(B.Prog, B.G);
+    Refs = 0;
+    for (const NodeRefs &NR : R.PerNode)
+      Refs += NR.Uses.size() + NR.Defs.size();
+    benchmark::DoNotOptimize(R.Items.size());
+  }
+  State.counters["refs"] = static_cast<double>(Refs);
+  State.counters["us/ref"] = benchmark::Counter(
+      static_cast<double>(State.iterations()) * Refs / 1e6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RefAnalysis)->Arg(100)->Arg(400)->Arg(1600);
+
 //===----------------------------------------------------------------------===//
 // Wide-universe sweeps: arena vs classic evaluator, and item sharding
 //===----------------------------------------------------------------------===//

@@ -36,6 +36,7 @@ public:
 private:
   /// Builds the statement -> evaluating-node map from the CFG.
   void collectStmtNodes() {
+    R.StmtNode.reserve(G.size());
     for (NodeId Id = 0; Id != G.size(); ++Id) {
       const CfgNode &N = G.node(Id);
       if (!N.S)
@@ -182,10 +183,17 @@ private:
     default:
       return 0;
     }
-    std::string LhsText = AstPrinter::printExpr(LHS);
+    // A printed reference is `name(...)` and names cannot contain `(`, so
+    // the texts can only match when the array names do: print only then,
+    // and the LHS at most once.
+    std::string LhsText;
     for (const Expr *Side : {B->getLHS(), B->getRHS()}) {
       const auto *AR = dyn_cast<ArrayRefExpr>(Side);
-      if (AR && AstPrinter::printExpr(AR) == LhsText) {
+      if (!AR || AR->getArray() != LHS->getArray())
+        continue;
+      if (LhsText.empty())
+        LhsText = AstPrinter::printExpr(LHS);
+      if (AstPrinter::printExpr(AR) == LhsText) {
         SelfRef = Side;
         return Op;
       }
@@ -275,7 +283,7 @@ private:
           Item D = makeItem(LHS->getArray(), LHS->getSubscript());
           RawDef Raw{LHS->getArray(), D.Sec, D.Volatile || D.isIndirect(),
                      ReduceOp != 0};
-          R.ArrayDefs[N].push_back(Raw);
+          R.ArrayDefs[N].push_back(std::move(Raw));
           if (P.isDistributed(LHS->getArray())) {
             unsigned Id = R.Items.intern(std::move(D));
             R.Items.noteDefinitionKind(Id, ReduceOp);

@@ -21,6 +21,7 @@
 #include "comm/Items.h"
 
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace gnt {
@@ -60,7 +61,7 @@ struct RefAnalysisResult {
 
   /// Maps statements to the node evaluating them (assigns and continues
   /// to their Stmt node, IFs to their Branch node, DOs to their header).
-  std::map<const Stmt *, NodeId> StmtNode;
+  std::unordered_map<const Stmt *, NodeId> StmtNode;
 };
 
 /// Analyzes \p P over its CFG \p G.

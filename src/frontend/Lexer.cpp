@@ -9,6 +9,7 @@
 #include "support/Support.h"
 
 #include <cctype>
+#include <climits>
 
 using namespace gnt;
 
@@ -79,12 +80,25 @@ std::vector<Token> gnt::lex(const std::string &Source,
     }
     if (std::isdigit(static_cast<unsigned char>(C))) {
       long long V = 0;
+      bool Overflow = false;
       size_t Start = I;
       while (I < E && std::isdigit(static_cast<unsigned char>(Source[I]))) {
-        V = V * 10 + (Source[I] - '0');
+        int D = Source[I] - '0';
+        if (V > (LLONG_MAX - D) / 10)
+          Overflow = true;
+        else
+          V = V * 10 + D;
         ++I;
       }
       Col += static_cast<unsigned>(I - Start);
+      if (Overflow) {
+        Errors.push_back("line " + itostr(Line) + ", column " +
+                         itostr(TokCol) + ": integer literal '" +
+                         Source.substr(Start, I - Start) +
+                         "' exceeds the largest value " +
+                         itostr(LLONG_MAX));
+        V = 0;
+      }
       push(Token::Kind::Number, TokCol)->Value = V;
       continue;
     }

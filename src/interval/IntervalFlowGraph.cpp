@@ -48,9 +48,9 @@ void retargetEdge(Cfg &G, NodeId From, NodeId To, NodeId Mid) {
   G.node(Mid).Preds.push_back(From);
 }
 
-/// One normalization round; returns true if the CFG changed. Rounds are
-/// alternated with loop forest recomputation until a fixed point.
-bool normalizeOnce(Cfg &G, const LoopForest &Forest) {
+} // namespace
+
+bool gnt::normalizeOnce(Cfg &G, const LoopForest &Forest) {
   // (1) Unique latch: every interval needs exactly one CYCLE edge whose
   // source is a direct member with no other successors (Section 3.3/3.4).
   bool Changed = false;
@@ -124,8 +124,6 @@ bool normalizeOnce(Cfg &G, const LoopForest &Forest) {
   // (3) No critical edges.
   return G.splitAllCriticalEdges() > 0;
 }
-
-} // namespace
 
 IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
   BuildResult R;

@@ -147,6 +147,13 @@ struct IfgBuildResult {
 /// Spelled-out edge type name ("ENTRY", "CYCLE", ...).
 const char *edgeTypeName(EdgeType T);
 
+class LoopForest;
+
+/// One normalization round of IntervalFlowGraph::build() on \p G, whose
+/// loop forest is \p Forest; returns true if the CFG changed. build()
+/// alternates rounds with loop forest recomputation until a fixed point.
+bool normalizeOnce(Cfg &G, const LoopForest &Forest);
+
 } // namespace gnt
 
 #endif // GNT_INTERVAL_INTERVALFLOWGRAPH_H

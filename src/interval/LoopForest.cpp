@@ -8,7 +8,7 @@
 
 #include "support/Support.h"
 
-#include <algorithm>
+#include <cassert>
 
 using namespace gnt;
 
@@ -61,84 +61,57 @@ std::optional<LoopForest> LoopForest::compute(const Cfg &G,
     }
   }
 
-  // Natural loop membership per header: backward closure from the back
-  // edge sources, stopping at the header.
-  std::vector<NodeId> Headers;
-  std::vector<std::vector<char>> Member(N); // Member[h][n], headers only.
-  for (NodeId H = 0; H != N; ++H) {
-    if (F.BackEdgeSources[H].empty())
+  // Natural loops, innermost first. A header dominates its loop, so in
+  // decreasing reverse-postorder number every inner header comes before
+  // the headers enclosing it. Each header's backward walk from its back
+  // edge sources claims the unclaimed nodes it reaches; an already claimed
+  // node stands for its whole collapsed loop, and the union-find resolves
+  // it to the outermost header claimed so far. Every loop member is
+  // claimed once, by its innermost header. This relies on the
+  // retreating-edge check above (reducibility) and on every node being
+  // reachable from ROOT.
+  std::vector<NodeId> Outer(N);
+  for (NodeId Node = 0; Node != N; ++Node)
+    Outer[Node] = Node;
+  auto find = [&Outer](NodeId Node) {
+    NodeId Top = Node;
+    while (Outer[Top] != Top)
+      Top = Outer[Top];
+    while (Outer[Node] != Top) {
+      NodeId Next = Outer[Node];
+      Outer[Node] = Top;
+      Node = Next;
+    }
+    return Top;
+  };
+  const std::vector<NodeId> &Rpo = Dom.reversePostorder();
+  std::vector<NodeId> Work;
+  for (auto It = Rpo.rbegin(); It != Rpo.rend(); ++It) {
+    NodeId H = *It;
+    if (!F.isHeader(H))
       continue;
-    Headers.push_back(H);
-    Member[H].assign(N, 0);
-    std::vector<NodeId> Work;
-    for (NodeId Src : F.BackEdgeSources[H])
-      if (!Member[H][Src]) {
-        Member[H][Src] = 1;
-        Work.push_back(Src);
-      }
+    assert(Outer[H] == H && "an enclosing header was visited first");
+    Work = F.BackEdgeSources[H];
     while (!Work.empty()) {
-      NodeId M = Work.back();
+      NodeId M = find(Work.back());
       Work.pop_back();
       if (M == H)
         continue;
+      F.Parent[M] = H;
+      Outer[M] = H;
       for (NodeId P : G.node(M).Preds)
-        if (P != H && !Member[H][P]) {
-          Member[H][P] = 1;
-          Work.push_back(P);
-        }
+        Work.push_back(P);
     }
-    Member[H][H] = 0; // T(h) excludes its header.
   }
 
-  // Loop sizes determine nesting (reducible loops are disjoint or nested).
-  std::vector<unsigned> LoopSize(N, 0);
-  for (NodeId H : Headers)
-    LoopSize[H] = static_cast<unsigned>(
-        std::count(Member[H].begin(), Member[H].end(), 1));
-
-  // Innermost enclosing header per node = the smallest loop containing it.
-  for (NodeId Node = 0; Node != N; ++Node) {
+  // A header precedes the members of its loop in reverse postorder, so
+  // one pass in that order resolves every level from its parent's.
+  for (NodeId Node : Rpo) {
     if (Node == F.Root)
       continue;
-    NodeId Best = F.Root;
-    unsigned BestSize = ~0u;
-    for (NodeId H : Headers) {
-      if (!Member[H][Node])
-        continue;
-      if (LoopSize[H] < BestSize) {
-        Best = H;
-        BestSize = LoopSize[H];
-      }
-    }
-    F.Parent[Node] = Best;
-  }
-
-  // Levels follow the parent chain. Parents of headers point to loops that
-  // strictly contain them, so the chain is acyclic; resolve with memoized
-  // walks.
-  std::vector<char> LevelKnown(N, 0);
-  LevelKnown[F.Root] = 1;
-  for (NodeId Node = 0; Node != N; ++Node) {
-    if (LevelKnown[Node])
-      continue;
-    std::vector<NodeId> Chain;
-    NodeId Cur = Node;
-    while (!LevelKnown[Cur]) {
-      Chain.push_back(Cur);
-      Cur = F.Parent[Cur];
-      if (Cur == InvalidNode) {
-        // Unreachable node; give it level 1 under ROOT.
-        Cur = F.Root;
-        break;
-      }
-    }
-    unsigned L = F.Level[Cur];
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      F.Level[*It] = ++L;
-      LevelKnown[*It] = 1;
-      if (F.Parent[*It] == InvalidNode)
-        F.Parent[*It] = F.Root;
-    }
+    if (F.Parent[Node] == InvalidNode)
+      F.Parent[Node] = F.Root;
+    F.Level[Node] = F.Level[F.Parent[Node]] + 1;
   }
 
   return F;

@@ -31,7 +31,8 @@ class LoopForest {
 public:
   /// Analyzes \p G. Returns std::nullopt (with messages in \p Errors) if
   /// the graph is irreducible — a retreating edge targets a node that does
-  /// not dominate its source — or malformed (self loop).
+  /// not dominate its source — or malformed (self loop). Every node of
+  /// \p G must be reachable from its entry, as buildCfg guarantees.
   static std::optional<LoopForest> compute(const Cfg &G,
                                            const Dominators &Dom,
                                            std::vector<std::string> &Errors);

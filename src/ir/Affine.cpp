@@ -9,8 +9,6 @@
 #include "ir/Ast.h"
 #include "support/Support.h"
 
-#include <sstream>
-
 using namespace gnt;
 
 AffineExpr AffineExpr::constant(long long C) {
@@ -113,31 +111,31 @@ bool AffineExpr::operator<(const AffineExpr &RHS) const {
 std::string AffineExpr::toString() const {
   if (!Affine)
     return "<nonaffine>";
-  std::ostringstream OS;
+  std::string S;
   bool First = true;
   for (const auto &[Sym, C] : Terms) {
     if (C == 0)
       continue;
     if (First) {
       if (C == -1)
-        OS << '-';
+        S += '-';
       else if (C != 1)
-        OS << C << '*';
+        S += itostr(C) + '*';
     } else {
-      OS << (C > 0 ? "+" : "-");
+      S += C > 0 ? '+' : '-';
       if (C != 1 && C != -1)
-        OS << (C > 0 ? C : -C) << '*';
+        S += itostr(C > 0 ? C : -C) + '*';
     }
-    OS << Sym;
+    S += Sym;
     First = false;
   }
   if (First)
     return itostr(Const);
   if (Const > 0)
-    OS << '+' << Const;
+    S += '+' + itostr(Const);
   else if (Const < 0)
-    OS << Const;
-  return OS.str();
+    S += itostr(Const);
+  return S;
 }
 
 AffineExpr AffineExpr::fromExpr(const Expr *E) {

@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,11 +45,7 @@ inline std::string indent(unsigned Level) {
 }
 
 /// Formats a signed integer as a compact string.
-inline std::string itostr(long long V) {
-  std::ostringstream OS;
-  OS << V;
-  return OS.str();
-}
+inline std::string itostr(long long V) { return std::to_string(V); }
 
 } // namespace gnt
 

@@ -6,10 +6,13 @@
 
 #include "ir/Affine.h"
 #include "ir/AstBuilder.h"
+#include "support/Support.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <optional>
+#include <sstream>
 #include <vector>
 
 using namespace gnt;
@@ -169,6 +172,84 @@ TEST(Affine, TermsNeverHoldZeroCoefficient) {
       expectNoZero(A * B);
     }
   }
+}
+
+namespace {
+
+/// The ostream rendering toString() and itostr() must reproduce byte for
+/// byte: the printer's output, the item keys and the result payload all
+/// depend on it.
+std::string streamItostr(long long V) {
+  std::ostringstream OS;
+  OS << V;
+  return OS.str();
+}
+
+std::string streamToString(const AffineExpr &E) {
+  if (!E.isAffine())
+    return "<nonaffine>";
+  std::ostringstream OS;
+  bool First = true;
+  for (const auto &[Sym, C] : E.getTerms()) {
+    if (C == 0)
+      continue;
+    if (First) {
+      if (C == -1)
+        OS << '-';
+      else if (C != 1)
+        OS << C << '*';
+    } else {
+      OS << (C > 0 ? "+" : "-");
+      if (C != 1 && C != -1)
+        OS << (C > 0 ? C : -C) << '*';
+    }
+    OS << Sym;
+    First = false;
+  }
+  if (First)
+    return streamItostr(E.getConstant());
+  if (E.getConstant() > 0)
+    OS << '+' << E.getConstant();
+  else if (E.getConstant() < 0)
+    OS << E.getConstant();
+  return OS.str();
+}
+
+} // namespace
+
+TEST(Affine, ToStringMatchesStreamReference) {
+  for (long long V : {0LL, 1LL, -1LL, 7LL, -7LL, 10LL, -123456789LL,
+                      LLONG_MAX, -LLONG_MAX, LLONG_MIN})
+    EXPECT_EQ(itostr(V), streamItostr(V)) << V;
+
+  AffineExpr I = AffineExpr::symbol("i");
+  AffineExpr J = AffineExpr::symbol("j");
+  AffineExpr N = AffineExpr::symbol("n");
+  auto K = [](long long V) { return AffineExpr::constant(V); };
+  std::vector<AffineExpr> Cases = {
+      AffineExpr(),           // Non-affine.
+      K(0), K(5), K(-5), K(LLONG_MAX), K(-LLONG_MAX), K(LLONG_MIN),
+      I - I,                  // Cancelled term: constant-only.
+      I - I + K(3),
+      I + J * K(LLONG_MAX), I + J * K(-LLONG_MAX),
+  };
+  for (long long C : {1LL, -1LL, 2LL, -2LL, 17LL, -17LL, LLONG_MAX,
+                      -LLONG_MAX}) {
+    AffineExpr Lead = I * K(C);
+    for (long long Const : {0LL, 1LL, -1LL, 10LL, -10LL, LLONG_MAX,
+                            -LLONG_MAX, LLONG_MIN}) {
+      Cases.push_back(Lead + K(Const));
+      for (long long D : {1LL, -1LL, 3LL, -3LL})
+        Cases.push_back(Lead + J * K(D) + N * K(-D) + K(Const));
+    }
+  }
+  for (const AffineExpr &E : Cases)
+    EXPECT_EQ(E.toString(), streamToString(E)) << streamToString(E);
+  // Spot checks that pin the expected forms independently of the reference.
+  EXPECT_EQ((I * K(-1) + J * K(2) + K(-4)).toString(), "-i+2*j-4");
+  EXPECT_EQ((I * K(3) - N + K(1)).toString(), "3*i-n+1");
+  EXPECT_EQ((I - I + K(-6)).toString(), "-6");
+  EXPECT_EQ(itostr(LLONG_MIN), "-9223372036854775808");
 }
 
 TEST(Section, Printing) {

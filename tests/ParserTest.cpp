@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 using namespace gnt;
 
 namespace {
@@ -159,6 +161,26 @@ TEST(Parser, MissingEnddo) {
 TEST(Parser, UnexpectedCharacter) {
   ParseResult R = parseProgram("v = 1 @ 2\n");
   EXPECT_FALSE(R.success());
+}
+
+TEST(Parser, LargestIntegerLiteralIsAccepted) {
+  ParseResult R = parseProgram("v = 9223372036854775807\n");
+  ASSERT_TRUE(R.success()) << R.Errors.front();
+  const auto *A = cast<AssignStmt>(R.Prog.getBody()[0].get());
+  EXPECT_EQ(cast<IntLitExpr>(A->getRHS())->getValue(), LLONG_MAX);
+}
+
+TEST(Parser, OverflowingIntegerLiteralIsRejected) {
+  for (const char *Literal : {"9223372036854775808", "99999999999999999999"}) {
+    ParseResult R = parseProgram("array w, x\nw(1) = 0\nw(1) = x(" +
+                                 std::string(Literal) + ")\n");
+    EXPECT_FALSE(R.success()) << Literal;
+    ASSERT_EQ(R.Errors.size(), 1u) << Literal;
+    EXPECT_EQ(R.Errors.front(), "line 3, column 10: integer literal '" +
+                                    std::string(Literal) +
+                                    "' exceeds the largest value "
+                                    "9223372036854775807");
+  }
 }
 
 TEST(Parser, LhsSubscriptDeclaresArray) {

@@ -17,10 +17,12 @@
 
 #include "baseline/Baselines.h"
 #include "baseline/LazyCodeMotion.h"
+#include "cfg/Dominators.h"
 #include "comm/CommGen.h"
 #include "fuzz/Clone.h"
 #include "fuzz/Mutator.h"
 #include "gen/RandomProgram.h"
+#include "interval/LoopForest.h"
 #include "ir/AstPrinter.h"
 #include "service/BatchServer.h"
 #include "service/Pipeline.h"
@@ -29,6 +31,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 #include <tuple>
 
@@ -648,3 +652,256 @@ TEST_P(CommProblemsReference, BucketedBuildMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CommProblemsReference,
                          ::testing::Range(1u, 101u));
+
+//===----------------------------------------------------------------------===//
+// Loop forest vs. the membership-matrix reference
+//===----------------------------------------------------------------------===//
+//
+// LoopForest::compute claims each node for its innermost loop in one
+// union-find pass over the headers, innermost first. The reference below
+// is the direct reading of the definition: one membership row per
+// header (the backward closure from its back-edge sources), and for every
+// node the smallest loop containing it. Both must agree on parent, level,
+// header flag and back-edge sources of every node, in every CFG state
+// IntervalFlowGraph::build passes through on its way to the normalized
+// graph.
+
+namespace {
+
+class LoopForestReference : public ::testing::TestWithParam<unsigned> {};
+
+struct ReferenceForest {
+  std::vector<NodeId> Parent;
+  std::vector<unsigned> Level;
+  std::vector<std::vector<NodeId>> BackEdgeSources;
+};
+
+std::optional<ReferenceForest> referenceLoopForest(const Cfg &G,
+                                                   const Dominators &Dom) {
+  unsigned N = G.size();
+  NodeId Root = G.entry();
+  ReferenceForest F;
+  F.Parent.assign(N, InvalidNode);
+  F.Level.assign(N, 1);
+  F.BackEdgeSources.assign(N, {});
+  F.Level[Root] = 0;
+
+  // Retreating edges of a DFS from ROOT; each must be a back edge.
+  std::vector<char> State(N, 0);
+  std::vector<std::pair<NodeId, unsigned>> Stack = {{Root, 0}};
+  State[Root] = 1;
+  while (!Stack.empty()) {
+    auto &[Node, NextSucc] = Stack.back();
+    const auto &Succs = G.node(Node).Succs;
+    if (NextSucc < Succs.size()) {
+      NodeId S = Succs[NextSucc++];
+      if (State[S] == 0) {
+        State[S] = 1;
+        Stack.push_back({S, 0});
+      } else if (State[S] == 1) {
+        if (S == Node || !Dom.dominates(S, Node))
+          return std::nullopt;
+        F.BackEdgeSources[S].push_back(Node);
+      }
+      continue;
+    }
+    State[Node] = 2;
+    Stack.pop_back();
+  }
+
+  std::vector<NodeId> Headers;
+  std::vector<std::vector<char>> Member(N);
+  for (NodeId H = 0; H != N; ++H) {
+    if (F.BackEdgeSources[H].empty())
+      continue;
+    Headers.push_back(H);
+    Member[H].assign(N, 0);
+    std::vector<NodeId> Work;
+    for (NodeId Src : F.BackEdgeSources[H])
+      if (!Member[H][Src]) {
+        Member[H][Src] = 1;
+        Work.push_back(Src);
+      }
+    while (!Work.empty()) {
+      NodeId M = Work.back();
+      Work.pop_back();
+      if (M == H)
+        continue;
+      for (NodeId P : G.node(M).Preds)
+        if (P != H && !Member[H][P]) {
+          Member[H][P] = 1;
+          Work.push_back(P);
+        }
+    }
+    Member[H][H] = 0;
+  }
+
+  std::vector<std::size_t> LoopSize(N, 0);
+  for (NodeId H : Headers)
+    LoopSize[H] = static_cast<std::size_t>(
+        std::count(Member[H].begin(), Member[H].end(), 1));
+  for (NodeId Node = 0; Node != N; ++Node) {
+    if (Node == Root)
+      continue;
+    NodeId Best = Root;
+    std::size_t BestSize = ~std::size_t(0);
+    for (NodeId H : Headers)
+      if (Member[H][Node] && LoopSize[H] < BestSize) {
+        Best = H;
+        BestSize = LoopSize[H];
+      }
+    F.Parent[Node] = Best;
+  }
+
+  // Levels by walking each parent chain up to ROOT.
+  for (NodeId Node = 0; Node != N; ++Node) {
+    unsigned L = 0;
+    for (NodeId Cur = Node; Cur != Root; Cur = F.Parent[Cur])
+      ++L;
+    F.Level[Node] = L;
+  }
+  return F;
+}
+
+/// Runs IntervalFlowGraph::build's normalization loop on \p G, comparing
+/// LoopForest::compute with the reference in every state. Returns the
+/// number of states compared.
+unsigned expectForestsAgree(Cfg G, const std::string &How) {
+  unsigned States = 0;
+  for (unsigned Round = 0; Round <= 16; ++Round) {
+    Dominators Dom(G);
+    std::vector<std::string> Errors;
+    std::optional<LoopForest> Got = LoopForest::compute(G, Dom, Errors);
+    std::optional<ReferenceForest> Want = referenceLoopForest(G, Dom);
+    EXPECT_EQ(Want.has_value(), Got.has_value()) << How;
+    if (!Got || !Want)
+      return States;
+    ++States;
+    std::string Where = How + " round " + std::to_string(Round);
+    EXPECT_EQ(Got->root(), G.entry()) << Where;
+    for (NodeId Node = 0; Node != G.size(); ++Node) {
+      EXPECT_EQ(Want->Parent[Node], Got->parent(Node))
+          << Where << " node " << Node;
+      EXPECT_EQ(Want->Level[Node], Got->level(Node))
+          << Where << " node " << Node;
+      EXPECT_EQ(!Want->BackEdgeSources[Node].empty(), Got->isHeader(Node))
+          << Where << " node " << Node;
+      EXPECT_EQ(Want->BackEdgeSources[Node], Got->backEdgeSources(Node))
+          << Where << " node " << Node;
+    }
+    if (::testing::Test::HasFailure() || !normalizeOnce(G, *Got))
+      return States;
+  }
+  ADD_FAILURE() << How << ": normalization did not converge";
+  return States;
+}
+
+unsigned expectForestsAgreeOnSource(const std::string &Source,
+                                    const std::string &How) {
+  ParseResult PR = parseProgram(Source);
+  EXPECT_TRUE(PR.success()) << How;
+  if (!PR.success())
+    return 0;
+  CfgBuildResult CR = buildCfg(PR.Prog);
+  EXPECT_TRUE(CR.success()) << How;
+  if (!CR.success())
+    return 0;
+  return expectForestsAgree(std::move(CR.G), How);
+}
+
+} // namespace
+
+TEST_P(LoopForestReference, UnionFindForestMatchesMembershipRows) {
+  unsigned Seed = GetParam();
+  for (unsigned Bucket = 0; Bucket != NumGenBuckets; ++Bucket) {
+    std::string How =
+        "seed " + std::to_string(Seed) + " bucket " + std::to_string(Bucket);
+    Program Prog = generateRandomProgram(genConfigForBucket(Bucket, Seed));
+    CfgBuildResult CR = buildCfg(Prog);
+    ASSERT_TRUE(CR.success()) << How;
+    EXPECT_GE(expectForestsAgree(std::move(CR.G), How), 1u) << How;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoopForestReference,
+                         ::testing::Range(1u, 101u));
+
+TEST(LoopForestReferenceGraphs, LargeGeneratedPrograms) {
+  for (unsigned Stmts : {400u, 1600u})
+    for (unsigned Bucket : {0u, 1u}) {
+      GenConfig C = genConfigForBucket(Bucket, 7);
+      C.TargetStmts = Stmts;
+      CfgBuildResult CR = buildCfg(generateRandomProgram(C));
+      std::string How = std::to_string(Stmts) + " statements bucket " +
+                        std::to_string(Bucket);
+      ASSERT_TRUE(CR.success()) << How;
+      EXPECT_GE(expectForestsAgree(std::move(CR.G), How), 1u) << How;
+    }
+}
+
+TEST(LoopForestReferenceGraphs, HandWrittenLoopShapes) {
+  const std::pair<const char *, const char *> Shapes[] = {
+      {"paper figure 11", fig11Source()},
+      {"nested loops", "do i = 1, n\n"
+                       "  do j = 1, n\n"
+                       "    v = i + j\n"
+                       "  enddo\n"
+                       "enddo\n"},
+      {"sibling loops", "do i = 1, n\n"
+                        "  v = i\n"
+                        "enddo\n"
+                        "do j = 1, n\n"
+                        "  w = j\n"
+                        "enddo\n"},
+      {"multi-level jump", "do i = 1, n\n"
+                           "  do j = 1, n\n"
+                           "    if (t(j)) goto 99\n"
+                           "    v = j\n"
+                           "  enddo\n"
+                           "enddo\n"
+                           "99 w = 1\n"},
+      {"goto-formed loop", "10 v = v + 1\n"
+                           "if (v < n) goto 10\n"
+                           "w = 1\n"},
+      {"header with two back edges", "array w\n"
+                                     "v = 0\n"
+                                     "10 v = v + 1\n"
+                                     "if (t(v)) goto 10\n"
+                                     "w(1) = v\n"
+                                     "if (t(v)) goto 10\n"
+                                     "w(2) = v\n"},
+      {"header branching into body", "array w\n"
+                                     "v = 0\n"
+                                     "10 if (t(v)) then\n"
+                                     "  v = v + 1\n"
+                                     "else\n"
+                                     "  v = v + 2\n"
+                                     "endif\n"
+                                     "if (v < n) goto 10\n"
+                                     "w(1) = v\n"},
+      {"deep back edge", "array w\n"
+                         "v = 0\n"
+                         "10 v = v + 1\n"
+                         "do i = 1, n\n"
+                         "  if (t(i)) goto 10\n"
+                         "  w(i) = v\n"
+                         "enddo\n"},
+  };
+  unsigned Normalized = 0;
+  for (const auto &[Name, Source] : Shapes) {
+    unsigned States = expectForestsAgreeOnSource(Source, Name);
+    EXPECT_GE(States, 1u) << Name;
+    Normalized += States > 1;
+  }
+  // The header with two back edges needs a latch round and the header
+  // branching into its body an entry-child round.
+  EXPECT_GE(Normalized, 2u);
+
+  // Irreducible control flow is rejected by both.
+  EXPECT_EQ(expectForestsAgreeOnSource("if (c > 0) goto 20\n"
+                                       "do i = 1, n\n"
+                                       "20 v = i\n"
+                                       "enddo\n",
+                                       "irreducible"),
+            0u);
+}

@@ -259,3 +259,58 @@ enddo
   EXPECT_EQ(Defs, 1u);
   EXPECT_GE(R.Items.lookup("x(1:n)"), 0);
 }
+
+namespace {
+
+/// The reduction operator recorded for the single array definition in
+/// \p Source (0 for a plain definition), and the uses at its node.
+std::pair<char, std::vector<std::string>>
+definitionKind(const std::string &Source) {
+  Pipeline P = Pipeline::fromSource(Source);
+  RefAnalysisResult R = analyze(P);
+  for (const NodeRefs &NR : R.PerNode)
+    if (!NR.Defs.empty()) {
+      std::vector<std::string> Uses;
+      for (unsigned U : NR.Uses)
+        Uses.push_back(R.Items.item(U).Key);
+      return {NR.DefOps.front(), Uses};
+    }
+  ADD_FAILURE() << "no array definition";
+  return {};
+}
+
+} // namespace
+
+TEST(RefAnalysis, ReductionSelfReferenceOnRightOperand) {
+  auto [Op, Uses] = definitionKind(R"(
+distribute x, y
+do i = 1, n
+  x(i) = y(i) + x(i)
+enddo
+)");
+  EXPECT_EQ(Op, '+');
+  // The self-reference accumulates locally; only y(i) is read.
+  EXPECT_EQ(Uses, std::vector<std::string>{"y(1:n)"});
+}
+
+TEST(RefAnalysis, SameArrayDifferentSubscriptIsNoReduction) {
+  auto [Op, Uses] = definitionKind(R"(
+distribute x
+do i = 1, n
+  x(i) = x(i + 1) * 2
+enddo
+)");
+  EXPECT_EQ(Op, 0);
+  EXPECT_EQ(Uses, std::vector<std::string>{"x(2:n+1)"});
+}
+
+TEST(RefAnalysis, DifferentArraySameSubscriptIsNoReduction) {
+  auto [Op, Uses] = definitionKind(R"(
+distribute x, y
+do i = 1, n
+  x(i) = y(i) + 1
+enddo
+)");
+  EXPECT_EQ(Op, 0);
+  EXPECT_EQ(Uses, std::vector<std::string>{"y(1:n)"});
+}

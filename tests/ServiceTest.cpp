@@ -317,6 +317,32 @@ TEST(BatchServer, FailuresAreIsolated) {
   check(Got[4], "job-2", true);
 }
 
+TEST(BatchServer, OverflowingLiteralIsARequestError) {
+  BatchServer Server{ServiceConfig()};
+  std::vector<std::string> Bad = Server.run(
+      {"{\"id\":\"big\",\"source\":\"array w, x\\nw(1) = "
+       "x(99999999999999999999)\\n\"}"});
+  ASSERT_EQ(Bad.size(), 1u);
+  JsonParseResult B = parseJson(Bad[0]);
+  ASSERT_TRUE(B.success()) << B.Error;
+  const JsonValue *Result = B.Value.field("result");
+  ASSERT_NE(Result, nullptr);
+  EXPECT_FALSE(Result->field("ok")->B);
+  EXPECT_NE(Bad[0].find("line 2, column 10: integer literal"),
+            std::string::npos)
+      << Bad[0];
+
+  // The next request on the same server is served normally.
+  std::vector<std::string> Next = Server.run({requestLine(3)});
+  ASSERT_EQ(Next.size(), 1u);
+  JsonParseResult G = parseJson(Next[0]);
+  ASSERT_TRUE(G.success()) << G.Error;
+  EXPECT_EQ(G.Value.field("id")->S, "job-3");
+  EXPECT_TRUE(G.Value.field("result")->field("ok")->B);
+  EXPECT_EQ(Server.metrics().Jobs, 2u);
+  EXPECT_EQ(Server.metrics().Failed, 1u);
+}
+
 TEST(BatchServer, MetricsRenderAndRoundTrip) {
   std::vector<std::string> Lines = workload(6);
   ServiceConfig Config;
