@@ -70,7 +70,7 @@ private:
 
   static void jsonDouble(JsonWriter &W, double V) {
     char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.3f", V);
+    std::snprintf(Buf, sizeof(Buf), "%.9g", V);
     W.raw(Buf);
   }
 

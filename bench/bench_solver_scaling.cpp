@@ -62,6 +62,30 @@ void BM_GntSolve(benchmark::State &State) {
 BENCHMARK(BM_GntSolve)->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(800)
     ->Arg(1600)->Arg(3200);
 
+/// One request's two oriented runs through runGiveNTake: READ (BEFORE,
+/// the graph copied as is) plus WRITE (AFTER, the reversed graph and the
+/// jump-poisoned STEAL copy), each with its problem copy, solve and
+/// result hand-off. ns/node is per CFG node for the READ+WRITE pair.
+void BM_GntRun(benchmark::State &State) {
+  unsigned Stmts = static_cast<unsigned>(State.range(0));
+  Built B = buildRandom(5, Stmts);
+  RefAnalysisResult Refs = analyzeReferences(B.Prog, B.G);
+  GntProblem Read, Write;
+  buildCommProblems(Refs, B.G, B.Ifg, CommOptions(), Read, Write);
+  for (auto _ : State) {
+    GntRun ReadRun = runGiveNTake(B.Ifg, Read);
+    GntRun WriteRun = runGiveNTake(B.Ifg, Write);
+    benchmark::DoNotOptimize(ReadRun.Result.Take.size());
+    benchmark::DoNotOptimize(WriteRun.Result.Take.size());
+  }
+  State.counters["nodes"] = B.G.size();
+  State.counters["items"] = Refs.Items.size();
+  State.counters["ns/node"] = benchmark::Counter(
+      static_cast<double>(State.iterations()) * B.G.size(),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GntRun)->Arg(100)->Arg(400)->Arg(1600);
+
 void BM_LcmSolve(benchmark::State &State) {
   unsigned Stmts = static_cast<unsigned>(State.range(0));
   Built B = buildRandom(5, Stmts);
@@ -140,7 +164,7 @@ void BM_CommProblems(benchmark::State &State) {
   for (auto _ : State) {
     GntProblem Read, Write;
     buildCommProblems(Refs, B.G, B.Ifg, CommOptions(), Read, Write);
-    benchmark::DoNotOptimize(Write.StealInit.data());
+    benchmark::DoNotOptimize(Write.StealInit[0].words());
     benchmark::ClobberMemory();
   }
   State.counters["items"] = Refs.Items.size();
@@ -282,7 +306,7 @@ GntProblem syntheticDuplicateProblem(const Built &B, unsigned Universe,
   }
   GntProblem P(N, Universe);
   for (unsigned Node = 0; Node != N; ++Node) {
-    auto Stamp = [&](const BitVector &From, BitVector &To) {
+    auto Stamp = [&](ConstBitRow From, BitRow To) {
       for (unsigned Item : From)
         for (unsigned Copy = Item; Copy < Referenced; Copy += Distinct)
           To.set(Copy);

@@ -431,7 +431,7 @@ private:
     for (NodeId Node = 0; Node != N; ++Node) {
       if (Opts.CheckCorrectness) {
         // C3: every consumption covered at its own node.
-        BitVector Need = P.TakeInit[Node];
+        BitVector Need(P.TakeInit[Node]);
         Need.reset(D.Out[Node]);
         for (unsigned I : Need)
           Rep.report(DiagSeverity::Error, CheckId::C3, Tag, Node,
@@ -461,7 +461,7 @@ private:
       }
       if (!Any)
         EntryAvail.reset();
-      BitVector Re = Pl.ResIn[Node];
+      BitVector Re(Pl.ResIn[Node]);
       Re &= EntryAvail;
       for (unsigned I : Re)
         Rep.report(DiagSeverity::Note, CheckId::O1, Tag, Node,
@@ -471,7 +471,7 @@ private:
       BitVector AfterSteal = D.Out[Node];
       AfterSteal |= P.GiveInit[Node];
       AfterSteal.reset(P.StealInit[Node]);
-      BitVector ReOut = Pl.ResOut[Node];
+      BitVector ReOut(Pl.ResOut[Node]);
       ReOut &= AfterSteal;
       for (unsigned I : ReOut)
         Rep.report(DiagSeverity::Note, CheckId::O1, Tag, Node,
@@ -485,13 +485,13 @@ private:
   // C1: engine-solved balance state machine on a paired 2U universe.
   //===--------------------------------------------------------------------===//
 
-  BitVector liftPend(const BitVector &V) const {
+  BitVector liftPend(ConstBitRow V) const {
     BitVector L(2 * U);
     for (unsigned I : V)
       L.set(I);
     return L;
   }
-  BitVector liftClear(const BitVector &V) const {
+  BitVector liftClear(ConstBitRow V) const {
     BitVector L(2 * U);
     for (unsigned I : V)
       L.set(U + I);
@@ -514,8 +514,8 @@ private:
 
   /// Applies a send (eager production) followed by a receive (lazy
   /// production) to a paired state.
-  BitVector applyEvents(BitVector S, const BitVector &Send,
-                        const BitVector &Recv) const {
+  BitVector applyEvents(BitVector S, ConstBitRow Send,
+                        ConstBitRow Recv) const {
     S.reset(liftClear(Send));
     S |= liftPend(Send);
     S.reset(liftPend(Recv));
@@ -533,7 +533,7 @@ private:
     for (NodeId Node = 0; Node != N; ++Node) {
       // Exit events, composed: send(EAGER RES_out) then recv(LAZY
       // RES_out). Gen applies after Kill in the engine's transfer.
-      BitVector SendOnly = R.Eager.ResOut[Node];
+      BitVector SendOnly(R.Eager.ResOut[Node]);
       SendOnly.reset(R.Lazy.ResOut[Node]);
       BitVector G = liftPend(SendOnly);
       G |= liftClear(R.Lazy.ResOut[Node]);
@@ -571,9 +571,9 @@ private:
                    static_cast<int>(Item), std::move(Msg),
                    "eager and lazy productions must alternate on every path");
     };
-    auto checkEvents = [&](const BitVector &State, const BitVector &Send,
-                           const BitVector &Recv, NodeId At) {
-      BitVector BadSend = Send;
+    auto checkEvents = [&](const BitVector &State, ConstBitRow Send,
+                           ConstBitRow Recv, NodeId At) {
+      BitVector BadSend(Send);
       BadSend &= pendHalf(State);
       for (unsigned I : BadSend)
         reportC1(At, I, "unmatched second eager production (send)");
@@ -628,12 +628,12 @@ private:
     for (NodeId Node = 0; Node != N; ++Node) {
       // Out = liveness just below the entry production point; In = just
       // below the exit production point (backward orientation).
-      BitVector DeadIn = Pl.ResIn[Node];
+      BitVector DeadIn(Pl.ResIn[Node]);
       DeadIn.reset(D.Out[Node]);
       for (unsigned I : DeadIn)
         Rep.report(Sev, CheckId::O2, Tag, Node, static_cast<int>(I),
                    "produces " + named(I) + " which no consumer uses", Hint);
-      BitVector DeadOut = Pl.ResOut[Node];
+      BitVector DeadOut(Pl.ResOut[Node]);
       DeadOut.reset(D.In[Node]);
       for (unsigned I : DeadOut)
         Rep.report(Sev, CheckId::O2, Tag, Node, static_cast<int>(I),
@@ -655,8 +655,8 @@ private:
       for (NodeId Node = 0; Node != N; ++Node) {
         // Eq. 12/14: entry production only where consumption is
         // anticipated (EAGER: TAKEN_in) or demanded locally (LAZY: TAKE).
-        const BitVector &Bound = Eager ? R.TakenIn[Node] : R.Take[Node];
-        BitVector Bad = Pl.ResIn[Node];
+        ConstBitRow Bound = Eager ? R.TakenIn[Node] : R.Take[Node];
+        BitVector Bad(Pl.ResIn[Node]);
         Bad.reset(Bound);
         for (unsigned I : Bad)
           Rep.report(DiagSeverity::Error, Check, Tag, Node,
@@ -667,7 +667,7 @@ private:
                      Eager ? "RES_in must stay within TAKEN_in (Eq. 12/14)"
                            : "lazy RES_in must stay within TAKE (Eq. 12/14)");
         // Eq. 14: no production of an item already flowing in.
-        BitVector Doubled = Pl.ResIn[Node];
+        BitVector Doubled(Pl.ResIn[Node]);
         Doubled &= Pl.GivenIn[Node];
         for (unsigned I : Doubled)
           Rep.report(DiagSeverity::Error, Check, Tag, Node,
@@ -675,7 +675,7 @@ private:
                      "produces " + named(I) + " which GIVEN_in already carries",
                      "RES_in and GIVEN_in must be disjoint (Eq. 14)");
         // Eq. 15: no exit production of an item already flowing out.
-        BitVector DoubledOut = Pl.ResOut[Node];
+        BitVector DoubledOut(Pl.ResOut[Node]);
         DoubledOut &= Pl.GivenOut[Node];
         for (unsigned I : DoubledOut)
           Rep.report(DiagSeverity::Error, Check, Tag, Node,
@@ -710,14 +710,14 @@ private:
     for (NodeId Node = 0; Node != N; ++Node) {
       // Backward orientation: Out = anticipability at the node entry,
       // In = at the node exit.
-      BitVector Spec1 = R.Eager.ResIn[Node];
+      BitVector Spec1(R.Eager.ResIn[Node]);
       Spec1.reset(D.Out[Node]);
       for (unsigned I : Spec1)
         Rep.report(DiagSeverity::Note, CheckId::O3, "EAGER", Node,
                    static_cast<int>(I),
                    "speculatively produces " + named(I) +
                        " which no path consumes before a steal");
-      BitVector Spec2 = R.Eager.ResOut[Node];
+      BitVector Spec2(R.Eager.ResOut[Node]);
       Spec2.reset(D.In[Node]);
       for (unsigned I : Spec2)
         Rep.report(DiagSeverity::Note, CheckId::O3, "EAGER", Node,
@@ -732,14 +732,13 @@ private:
   //===--------------------------------------------------------------------===//
 
   void diffVariable(const char *Name, const char *Solution,
-                    const std::vector<BitVector> &Got,
-                    const std::vector<BitVector> &Want) {
+                    const BitRows &Got, const BitRows &Want) {
     for (NodeId Node = 0; Node != N; ++Node) {
       if (Got[Node] == Want[Node])
         continue;
-      BitVector Extra = Got[Node];
+      BitVector Extra(Got[Node]);
       Extra.reset(Want[Node]);
-      BitVector Missing = Want[Node];
+      BitVector Missing(Want[Node]);
       Missing.reset(Got[Node]);
       int Item = Extra.any() ? Extra.findFirst() : Missing.findFirst();
       Rep.report(DiagSeverity::Error, CheckId::Diff, Solution, Node, Item,
@@ -787,7 +786,7 @@ private:
     // within TakenIn, and Eq. 11-13 preserve the containment node by
     // node in preorder.
     struct {
-      const std::vector<BitVector> *Lazy, *Eager;
+      const BitRows *Lazy, *Eager;
       const char *Name;
     } Laws[3] = {{&R.Lazy.GivenIn, &R.Eager.GivenIn, "GIVEN_in"},
                  {&R.Lazy.Given, &R.Eager.Given, "GIVEN"},
@@ -795,7 +794,7 @@ private:
     for (const auto &L : Laws)
       for (NodeId Node = 0; Node != N; ++Node)
         if (!(*L.Lazy)[Node].isSubsetOf((*L.Eager)[Node])) {
-          BitVector Extra = (*L.Lazy)[Node];
+          BitVector Extra((*L.Lazy)[Node]);
           Extra.reset((*L.Eager)[Node]);
           Rep.report(DiagSeverity::Error, CheckId::Diff, "LAZY", Node,
                      Extra.findFirst(),

@@ -108,8 +108,8 @@ DataflowSpec gnt::makeAnticipabilitySpec(const GntRun &Run) {
   Spec.Direction = FlowDirection::Backward;
   Spec.Meet = Confluence::Any;
   Spec.UniverseSize = P.UniverseSize;
-  Spec.Gen = P.TakeInit;   // Consumption demands the item...
-  Spec.Kill = P.StealInit; // ...but not across a voiding point.
+  Spec.Gen = toBitVectors(P.TakeInit);   // Consumption demands...
+  Spec.Kill = toBitVectors(P.StealInit); // ...not across a steal.
   return Spec;
 }
 
@@ -121,13 +121,13 @@ DataflowSpec gnt::makeProductionLivenessSpec(const GntRun &Run, Urgency U) {
   Spec.Direction = FlowDirection::Backward;
   Spec.Meet = Confluence::Any;
   Spec.UniverseSize = P.UniverseSize;
-  Spec.Gen = P.TakeInit;
+  Spec.Gen = toBitVectors(P.TakeInit);
   // Crossing (backwards) a steal, a free production or a placed exit
   // production kills liveness: demand below those points cannot reach a
   // production above them (voided, or already resupplied).
   Spec.Kill.resize(N);
   for (NodeId Node = 0; Node != N; ++Node) {
-    BitVector K = P.StealInit[Node];
+    BitVector K(P.StealInit[Node]);
     K |= P.GiveInit[Node];
     K |= Pl.ResOut[Node];
     Spec.Kill[Node] = std::move(K);
@@ -157,10 +157,10 @@ DataflowSpec gnt::makeStealReachabilitySpec(const GntRun &Run, Urgency U) {
   for (NodeId Node = 0; Node != N; ++Node) {
     // Within the node, STEAL precedes RES_out, so a steal whose item is
     // re-produced at the exit does not escape the node.
-    BitVector G = P.StealInit[Node];
+    BitVector G(P.StealInit[Node]);
     G.reset(Pl.ResOut[Node]);
     Spec.Gen[Node] = std::move(G);
-    BitVector K = P.GiveInit[Node];
+    BitVector K(P.GiveInit[Node]);
     K |= Pl.ResOut[Node];
     Spec.Kill[Node] = std::move(K);
   }

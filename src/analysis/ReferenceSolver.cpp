@@ -32,28 +32,9 @@ class IterativeSolver {
 public:
   IterativeSolver(const IntervalFlowGraph &Ifg, const GntProblem &P)
       : Ifg(Ifg), P(P), N(Ifg.size()), U(P.UniverseSize) {
-    assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-           P.StealInit.size() == N && "problem not sized to the graph");
-    auto alloc = [&](std::vector<BitVector> &V) {
-      V.assign(N, BitVector(U));
-    };
-    alloc(R.Steal);
-    alloc(R.Give);
-    alloc(R.Block);
-    alloc(R.TakenOut);
-    alloc(R.Take);
-    alloc(R.TakenIn);
-    alloc(R.BlockLoc);
-    alloc(R.TakeLoc);
-    alloc(R.GiveLoc);
-    alloc(R.StealLoc);
-    for (GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
-      alloc(Pl->GivenIn);
-      alloc(Pl->Given);
-      alloc(Pl->GivenOut);
-      alloc(Pl->ResIn);
-      alloc(Pl->ResOut);
-    }
+    assert(P.numNodes() == N && "problem not sized to the graph");
+    // Zeroed arena in the solver's own result shape.
+    R = GntResult(std::make_shared<DataflowMatrix>(NumGntFields * N, U));
     NoHoist.assign(N, 0);
     for (NodeId H : P.NoHoistHeaders)
       NoHoist[H] = 1;
@@ -93,8 +74,8 @@ public:
 
 private:
   /// Union of \p Var over edges of the given types and direction.
-  BitVector joinOver(const std::vector<IfgEdge> &Edges, bool UseDst,
-                     const std::vector<BitVector> &Var,
+  BitVector joinOver(std::span<const IfgEdge> Edges, bool UseDst,
+                     const BitRows &Var,
                      std::initializer_list<EdgeType> Types) const {
     BitVector Acc(U);
     for (const IfgEdge &E : Edges)
@@ -108,15 +89,15 @@ private:
 
   /// Intersection of \p Var over edges of the given types and direction;
   /// bottom when there are none (Section 4's convention).
-  BitVector meetOver(const std::vector<IfgEdge> &Edges, bool UseDst,
-                     const std::vector<BitVector> &Var,
+  BitVector meetOver(std::span<const IfgEdge> Edges, bool UseDst,
+                     const BitRows &Var,
                      std::initializer_list<EdgeType> Types) const {
     BitVector Acc(U);
     bool First = true;
     for (const IfgEdge &E : Edges)
       for (EdgeType T : Types)
         if (E.Type == T) {
-          const BitVector &V = Var[UseDst ? E.Dst : E.Src];
+          ConstBitRow V = Var[UseDst ? E.Dst : E.Src];
           if (First) {
             Acc = V;
             First = false;
@@ -129,9 +110,9 @@ private:
   }
 
   /// Stores \p New into Var[Node]; remembers whether anything changed.
-  void set(std::vector<BitVector> &Var, NodeId Node, BitVector New) {
+  void set(BitRows &Var, NodeId Node, ConstBitRow New) {
     if (Var[Node] != New) {
-      Var[Node] = std::move(New);
+      Var[Node] = New;
       Changed = true;
     }
   }
@@ -167,36 +148,36 @@ private:
         GL |= R.Give[Node];
         GL |= R.Take[Node];
         GL.reset(R.Steal[Node]);
-        set(R.GiveLoc, Node, std::move(GL));
+        set(R.GiveLoc, Node, GL);
 
         // Eq. 10, same schedule pinning: a bottom input is an empty
         // union term, so the edge is skipped.
-        BitVector SL = R.Steal[Node];
+        BitVector SL(R.Steal[Node]);
         for (const IfgEdge &E : Ifg.preds(Node)) {
           if (S2Pos[E.Src] > S2Pos[Node])
             continue;
           if (E.Type == ET::Forward || E.Type == ET::Jump) {
-            BitVector T = R.StealLoc[E.Src];
+            BitVector T(R.StealLoc[E.Src]);
             T.reset(R.GiveLoc[E.Src]);
             SL |= T;
           } else if (E.Type == ET::Synthetic) {
             SL |= R.StealLoc[E.Src];
           }
         }
-        set(R.StealLoc, Node, std::move(SL));
+        set(R.StealLoc, Node, SL);
       }
 
       // Eq. 1 / Eq. 2.
       {
-        BitVector S = P.StealInit[Node];
-        BitVector G = P.GiveInit[Node];
+        BitVector S(P.StealInit[Node]);
+        BitVector G(P.GiveInit[Node]);
         if (Ifg.isHeader(Node) && Ifg.lastChild(Node) != InvalidNode) {
           S |= R.StealLoc[Ifg.lastChild(Node)];
           if (!NoHoist[Node])
             G |= R.GiveLoc[Ifg.lastChild(Node)];
         }
-        set(R.Steal, Node, std::move(S));
-        set(R.Give, Node, std::move(G));
+        set(R.Steal, Node, S);
+        set(R.Give, Node, G);
       }
 
       // Eq. 3.
@@ -205,7 +186,7 @@ private:
                                {ET::Entry});
         B |= R.Steal[Node];
         B |= R.Give[Node];
-        set(R.Block, Node, std::move(B));
+        set(R.Block, Node, B);
       }
 
       // Eq. 4.
@@ -215,7 +196,7 @@ private:
 
       // Eq. 5.
       {
-        BitVector T = P.TakeInit[Node];
+        BitVector T(P.TakeInit[Node]);
         if (!NoHoist[Node]) {
           BitVector Hoisted = joinOver(Ifg.succs(Node), /*UseDst=*/true,
                                        R.TakenIn, {ET::Entry});
@@ -227,17 +208,17 @@ private:
           T |= Hoisted;
           T |= Maybe;
         }
-        set(R.Take, Node, std::move(T));
+        set(R.Take, Node, T);
       }
 
       // Eq. 6.
       if (NoHoist[Node]) {
         set(R.TakenIn, Node, R.Take[Node]);
       } else {
-        BitVector T = R.TakenOut[Node];
+        BitVector T(R.TakenOut[Node]);
         T.reset(R.Block[Node]);
         T |= R.Take[Node];
-        set(R.TakenIn, Node, std::move(T));
+        set(R.TakenIn, Node, T);
       }
 
       // Eq. 7.
@@ -246,7 +227,7 @@ private:
                                {ET::Forward});
         B |= R.Block[Node];
         B.reset(R.Take[Node]);
-        set(R.BlockLoc, Node, std::move(B));
+        set(R.BlockLoc, Node, B);
       }
 
       // Eq. 8.
@@ -255,7 +236,7 @@ private:
                                {ET::Entry, ET::Forward});
         T.reset(R.Block[Node]);
         T |= R.Take[Node];
-        set(R.TakeLoc, Node, std::move(T));
+        set(R.TakeLoc, Node, T);
       }
     }
 
@@ -272,7 +253,7 @@ private:
                                 Pl.GivenOut, {ET::Forward, ET::Jump});
         NodeId H = Ifg.headerOf(Node);
         if (H != InvalidNode && !NoHoist[H]) {
-          BitVector FromHeader = Pl.Given[H];
+          BitVector FromHeader(Pl.Given[H]);
           FromHeader.reset(R.Steal[H]);
           In |= FromHeader;
         }
@@ -286,14 +267,14 @@ private:
 
         // Eq. 12.
         {
-          BitVector G = Pl.GivenIn[Node];
+          BitVector G(Pl.GivenIn[Node]);
           G |= Urg == Urgency::Eager ? R.TakenIn[Node] : R.Take[Node];
           set(Pl.Given, Node, std::move(G));
         }
 
         // Eq. 13.
         {
-          BitVector Out = R.Give[Node];
+          BitVector Out(R.Give[Node]);
           Out |= Pl.Given[Node];
           Out.reset(R.Steal[Node]);
           set(Pl.GivenOut, Node, std::move(Out));
@@ -306,7 +287,7 @@ private:
       for (GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
         // Eq. 14.
         {
-          BitVector In = Pl->Given[Node];
+          BitVector In(Pl->Given[Node]);
           In.reset(Pl->GivenIn[Node]);
           set(Pl->ResIn, Node, std::move(In));
         }

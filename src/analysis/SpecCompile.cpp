@@ -36,9 +36,7 @@ SpecUniverseData buildItemsUniverse(const Program &P, const Cfg &G,
   buildCommProblems(Refs, G, Ifg, Opts, Read, Write);
   D.Size = Read.UniverseSize;
   D.Names = Refs.Items.names();
-  D.Take = std::move(Read.TakeInit);
-  D.Give = std::move(Read.GiveInit);
-  D.Steal = std::move(Read.StealInit);
+  D.Init = std::move(Read);
   return D;
 }
 
@@ -46,9 +44,7 @@ SpecUniverseData buildExprsUniverse(const Program &P, const Cfg &G) {
   SpecUniverseData D;
   GntProblem Prob = buildExprPreProblem(P, G, D.Names);
   D.Size = Prob.UniverseSize;
-  D.Take = std::move(Prob.TakeInit);
-  D.Give = std::move(Prob.GiveInit);
-  D.Steal = std::move(Prob.StealInit);
+  D.Init = std::move(Prob);
   return D;
 }
 
@@ -73,19 +69,19 @@ SpecUniverseData buildDefsUniverse(const Program &P, const Cfg &G) {
     }
   D.Size = static_cast<unsigned>(D.Names.size());
 
-  D.Take.assign(N, BitVector(D.Size));
-  D.Give.assign(N, BitVector(D.Size));
-  D.Steal.assign(N, BitVector(D.Size));
+  D.Init = GntProblem(N, D.Size);
+  BitRows &Take = D.Init.TakeInit, &Give = D.Init.GiveInit,
+          &Steal = D.Init.StealInit;
   for (NodeId Node = 0; Node != N; ++Node) {
     for (unsigned Site : SitesAtNode[Node])
-      D.Give[Node].set(Site);
+      Give[Node].set(Site);
     for (unsigned Item : Refs.PerNode[Node].Defs)
       for (unsigned Site : SitesOfItem[Item])
-        D.Steal[Node].set(Site);
-    D.Steal[Node].reset(D.Give[Node]);
+        Steal[Node].set(Site);
+    Steal[Node].reset(Give[Node]);
     for (unsigned Item : Refs.PerNode[Node].Uses)
       for (unsigned Site : SitesOfItem[Item])
-        D.Take[Node].set(Site);
+        Take[Node].set(Site);
   }
   return D;
 }
@@ -129,12 +125,10 @@ CompiledAnalysis gnt::compileAnalysisSpec(const AnalysisSpec &Spec,
   C.Gen.assign(NumNodes, EmptyRow);
   C.Kill.assign(NumNodes, EmptyRow);
   for (unsigned Node = 0; Node != NumNodes; ++Node) {
-    const BitVector &Take = Node < Data.Take.size() ? Data.Take[Node]
-                                                    : EmptyRow;
-    const BitVector &Give = Node < Data.Give.size() ? Data.Give[Node]
-                                                    : EmptyRow;
-    const BitVector &Steal = Node < Data.Steal.size() ? Data.Steal[Node]
-                                                      : EmptyRow;
+    const bool HasRow = Node < Data.Init.numNodes();
+    ConstBitRow Take = HasRow ? Data.Init.TakeInit[Node] : EmptyRow;
+    ConstBitRow Give = HasRow ? Data.Init.GiveInit[Node] : EmptyRow;
+    ConstBitRow Steal = HasRow ? Data.Init.StealInit[Node] : EmptyRow;
     if (Spec.Transfer) {
       // Gen = f(empty); Kill = ~f(all). Exact for lane-wise monotone
       // templates: per lane f is one of {0, 1, in}, and the two extreme

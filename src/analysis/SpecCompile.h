@@ -49,6 +49,7 @@
 #include "analysis/DataflowEngine.h"
 #include "analysis/Diagnostics.h"
 #include "analysis/SpecLang.h"
+#include "dataflow/GiveNTake.h"
 #include "ir/Ast.h"
 #include "support/DataflowMatrix.h"
 
@@ -64,9 +65,9 @@ class Cfg;
 struct SpecUniverseData {
   unsigned Size = 0;
   std::vector<std::string> Names;      ///< Display name per item.
-  std::vector<BitVector> Take;         ///< Per node, sized to Size.
-  std::vector<BitVector> Give;
-  std::vector<BitVector> Steal;
+  /// Per-node TAKE/GIVE/STEAL sets over Size items, as the init rows
+  /// of a GntProblem (its direction is unused).
+  GntProblem Init;
 };
 
 /// Builds the init sets of \p U for \p P. \p G and \p Ifg must be the

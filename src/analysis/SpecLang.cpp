@@ -24,20 +24,20 @@ const char *gnt::specUniverseName(SpecUniverse U) {
   gntUnreachable("covered switch");
 }
 
-BitVector gnt::evalSetExpr(const SpecSetExpr &E, unsigned U,
-                           const BitVector &In, const BitVector &Take,
-                           const BitVector &Give, const BitVector &Steal) {
+BitVector gnt::evalSetExpr(const SpecSetExpr &E, unsigned U, ConstBitRow In,
+                           ConstBitRow Take, ConstBitRow Give,
+                           ConstBitRow Steal) {
   switch (E.K) {
   case SpecSetExpr::Kind::Atom:
     switch (E.Atom) {
     case SpecAtom::In:
-      return In;
+      return BitVector(In);
     case SpecAtom::Take:
-      return Take;
+      return BitVector(Take);
     case SpecAtom::Give:
-      return Give;
+      return BitVector(Give);
     case SpecAtom::Steal:
-      return Steal;
+      return BitVector(Steal);
     case SpecAtom::Empty:
       return BitVector(U);
     case SpecAtom::All:

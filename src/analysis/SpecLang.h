@@ -101,9 +101,8 @@ struct SpecSetExpr {
 /// is a bitwise boolean, so this one evaluator serves both the
 /// compile-time Gen/Kill normalization (full-width vectors) and the
 /// linter's exact monotonicity check (1-bit vectors).
-BitVector evalSetExpr(const SpecSetExpr &E, unsigned U, const BitVector &In,
-                      const BitVector &Take, const BitVector &Give,
-                      const BitVector &Steal);
+BitVector evalSetExpr(const SpecSetExpr &E, unsigned U, ConstBitRow In,
+                      ConstBitRow Take, ConstBitRow Give, ConstBitRow Steal);
 
 /// One parsed analysis spec. Movable, not copyable (owns expression
 /// trees); keep the original text around for re-parsing when a copy is

@@ -27,9 +27,8 @@
 using namespace gnt;
 
 LcmResult gnt::lazyCodeMotion(const Cfg &G, unsigned U,
-                              const std::vector<BitVector> &Antloc,
-                              const std::vector<BitVector> &Transp,
-                              const std::vector<BitVector> &Comp) {
+                              const BitRows &Antloc, const BitRows &Transp,
+                              const BitRows &Comp) {
   unsigned N = G.size();
   LcmResult R;
   R.AntIn.assign(N, BitVector(U));
@@ -110,7 +109,7 @@ LcmResult gnt::lazyCodeMotion(const Cfg &G, unsigned U,
     BitVector E = R.AntIn[Node];
     E.reset(R.AvOut[P]);
     if (P != G.entry()) {
-      BitVector Guard = Transp[P]; // ~TRANSP u ~ANTOUT == ~(TRANSP n ANTOUT)
+      BitVector Guard(Transp[P]); // ~TRANSP u ~ANTOUT == ~(TRANSP n ANTOUT)
       Guard &= R.AntOut[P];
       E.reset(Guard);
     }
@@ -174,10 +173,10 @@ LcmResult gnt::lazyCodeMotion(const Cfg &G, unsigned U,
       continue;
     // DELETE = ANTLOC n ~LATERIN; kept occurrences (ANTLOC n LATERIN)
     // are their own placement points.
-    BitVector Del = Antloc[Id];
+    BitVector Del(Antloc[Id]);
     Del.reset(LaterIn[Id]);
     R.Deleted[Id] = Del;
-    BitVector Kept = Antloc[Id];
+    BitVector Kept(Antloc[Id]);
     Kept.reset(Del);
     R.KeptOccurrences[Id] = Kept;
   }
@@ -194,16 +193,20 @@ CommPlan gnt::lcmPlacement(const Program &P, const Cfg &G,
   unsigned U = Plan.Refs.Items.size();
   unsigned N = G.size();
 
-  std::vector<BitVector> Antloc = Plan.ReadProblem.TakeInit;
-  std::vector<BitVector> Transp(N, BitVector(U, true));
-  std::vector<BitVector> Comp(N, BitVector(U));
+  // TRANSP and COMP as two fields of one matrix; ANTLOC is TAKE_init
+  // read in place.
+  DataflowMatrix Preds(2 * N, U);
+  BitRows Transp = Preds.field(0, N);
+  BitRows Comp = Preds.field(N, N);
   for (NodeId Id = 0; Id != N; ++Id) {
+    Transp[Id].set();
     Transp[Id].reset(Plan.ReadProblem.StealInit[Id]);
     Comp[Id] = Plan.ReadProblem.TakeInit[Id];
     Comp[Id] |= Plan.ReadProblem.GiveInit[Id];
   }
 
-  LcmResult L = lazyCodeMotion(G, U, Antloc, Transp, Comp);
+  LcmResult L =
+      lazyCodeMotion(G, U, Plan.ReadProblem.TakeInit, Transp, Comp);
 
   auto entryAnchor = [&](NodeId Id) {
     return AnchorKey{G.node(Id).EmitStmt, G.node(Id).Where};

@@ -49,9 +49,8 @@ struct LcmResult {
 /// per-node local predicates: \p Antloc (occurrence at n), \p Transp
 /// (n does not kill), \p Comp (n makes the item available at its exit).
 LcmResult lazyCodeMotion(const Cfg &G, unsigned UniverseSize,
-                         const std::vector<BitVector> &Antloc,
-                         const std::vector<BitVector> &Transp,
-                         const std::vector<BitVector> &Comp);
+                         const BitRows &Antloc, const BitRows &Transp,
+                         const BitRows &Comp);
 
 /// Communication placement via LCM: atomic READ operations at the LCM
 /// placement points; write-backs fall back to the naive per-definition

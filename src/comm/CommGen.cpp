@@ -200,7 +200,7 @@ void gnt::emitCommPhase(CommPlan &Plan, const Cfg &G,
       continue; // Entry/Exit have no print position; the solver pins
                 // ROOT's placements to bottom.
     auto emit = [&](const AnchorKey &K, CommOpKind Kind,
-                    const BitVector &BV) {
+                    ConstBitRow BV) {
       for (unsigned I : BV)
         Plan.Anchored[K].push_back({Kind, I});
     };
@@ -209,7 +209,7 @@ void gnt::emitCommPhase(CommPlan &Plan, const Cfg &G,
     // branch on either arm — it must print at the top of *both* arms,
     // not after the merge, or it would incorrectly follow the arms'
     // statements.
-    auto emitExit = [&](CommOpKind Kind, const BitVector &BV) {
+    auto emitExit = [&](CommOpKind Kind, ConstBitRow BV) {
       if (BV.none())
         return;
       if (Node.Kind == NodeKind::Branch) {

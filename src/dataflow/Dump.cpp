@@ -15,7 +15,7 @@ using namespace gnt;
 
 namespace {
 
-std::string setToString(const BitVector &BV,
+std::string setToString(ConstBitRow BV,
                         const std::vector<std::string> &Names) {
   std::vector<std::string> Parts;
   for (unsigned I : BV)
@@ -44,7 +44,7 @@ std::string gnt::dumpGntRun(const GntRun &Run, const Cfg &G,
       OS << "  header";
     OS << "\n";
 
-    auto row = [&](const char *Name, const BitVector &BV) {
+    auto row = [&](const char *Name, ConstBitRow BV) {
       if (BV.none())
         return;
       OS << "  " << Name << " = " << setToString(BV, Names) << "\n";

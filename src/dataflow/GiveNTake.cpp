@@ -26,9 +26,9 @@
 ///    in one flat DataflowMatrix allocation. Each schedule step runs as
 ///    a few vectorizable word sweeps per node — edge-list gathers into
 ///    scratch rows, then one fixed-arity fused loop — with no
-///    allocation during evaluation. The result's BitVectors borrow the
-///    arena rows outright (GntResult::Arena keeps the storage alive),
-///    so exporting costs nothing.
+///    allocation during evaluation. The result's fields are row views
+///    over the arena (GntResult::Arena owns it), so handing the solve
+///    out copies nothing.
 ///  - the classic solver (solveGiveNTakeClassic): the original
 ///    one-BitVector-temporary-per-term evaluator, kept as the
 ///    differential oracle and the bench baseline.
@@ -80,7 +80,7 @@ namespace {
 
 /// Union of \p Var over the \p Types-typed successors of \p N.
 BitVector unionSuccs(const IntervalFlowGraph &Ifg,
-                     const std::vector<BitVector> &Var, NodeId N,
+                     const BitRows &Var, NodeId N,
                      std::initializer_list<EdgeType> Types, unsigned U) {
   BitVector R(U);
   for (const IfgEdge &E : Ifg.succs(N))
@@ -96,7 +96,7 @@ BitVector unionSuccs(const IntervalFlowGraph &Ifg,
 /// yields bottom (the empty set) if there are no such successors, as
 /// Section 4 specifies.
 BitVector meetSuccs(const IntervalFlowGraph &Ifg,
-                    const std::vector<BitVector> &Var, NodeId N,
+                    const BitRows &Var, NodeId N,
                     std::initializer_list<EdgeType> Types, unsigned U) {
   BitVector R(U);
   bool First = true;
@@ -115,7 +115,7 @@ BitVector meetSuccs(const IntervalFlowGraph &Ifg,
 }
 
 BitVector unionPreds(const IntervalFlowGraph &Ifg,
-                     const std::vector<BitVector> &Var, NodeId N,
+                     const BitRows &Var, NodeId N,
                      std::initializer_list<EdgeType> Types, unsigned U) {
   BitVector R(U);
   for (const IfgEdge &E : Ifg.preds(N))
@@ -128,7 +128,7 @@ BitVector unionPreds(const IntervalFlowGraph &Ifg,
 }
 
 BitVector meetPreds(const IntervalFlowGraph &Ifg,
-                    const std::vector<BitVector> &Var, NodeId N,
+                    const BitRows &Var, NodeId N,
                     std::initializer_list<EdgeType> Types, unsigned U) {
   BitVector R(U);
   bool First = true;
@@ -152,30 +152,11 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
                                      const GntProblem &P) {
   const unsigned N = Ifg.size();
   const unsigned U = P.UniverseSize;
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
+  assert(P.numNodes() == N && "problem not sized to the graph");
 
-  GntResult R;
-  auto alloc = [&](std::vector<BitVector> &V) {
-    V.assign(N, BitVector(U));
-  };
-  alloc(R.Steal);
-  alloc(R.Give);
-  alloc(R.Block);
-  alloc(R.TakenOut);
-  alloc(R.Take);
-  alloc(R.TakenIn);
-  alloc(R.BlockLoc);
-  alloc(R.TakeLoc);
-  alloc(R.GiveLoc);
-  alloc(R.StealLoc);
-  for (GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
-    alloc(Pl->GivenIn);
-    alloc(Pl->Given);
-    alloc(Pl->GivenOut);
-    alloc(Pl->ResIn);
-    alloc(Pl->ResOut);
-  }
+  // Zeroed arena: every variable starts at bottom, as the one-equation-
+  // at-a-time evaluation below assumes.
+  GntResult R(std::make_shared<DataflowMatrix>(NumGntFields * N, U));
 
   using ET = EdgeType;
   const std::vector<NodeId> &Pre = Ifg.preorder();
@@ -197,15 +178,15 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
       GL |= R.Give[C];
       GL |= R.Take[C];
       GL.reset(R.Steal[C]);
-      R.GiveLoc[C] = std::move(GL);
+      R.GiveLoc[C] = GL;
 
       // Eq. 10: STEAL_loc(c) = STEAL(c)
       //   u union_{p in PREDS^FJ} (STEAL_loc(p) - GIVE_loc(p))
       //   u union_{p in PREDS^S} STEAL_loc(p)
-      BitVector SL = R.Steal[C];
+      BitVector SL(R.Steal[C]);
       for (const IfgEdge &Edge : Ifg.preds(C)) {
         if (Edge.Type == ET::Forward || Edge.Type == ET::Jump) {
-          BitVector T = R.StealLoc[Edge.Src];
+          BitVector T(R.StealLoc[Edge.Src]);
           T.reset(R.GiveLoc[Edge.Src]);
           SL |= T;
         } else if (Edge.Type == ET::Synthetic) {
@@ -214,7 +195,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
           SL |= R.StealLoc[Edge.Src];
         }
       }
-      R.StealLoc[C] = std::move(SL);
+      R.StealLoc[C] = SL;
     }
 
     // Eq. 1 / Eq. 2: fold the interval summary of the last child into the
@@ -261,10 +242,10 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
     if (NoHoist[Node]) {
       R.TakenIn[Node] = R.Take[Node];
     } else {
-      BitVector T = R.TakenOut[Node];
+      BitVector T(R.TakenOut[Node]);
       T.reset(R.Block[Node]);
       T |= R.Take[Node];
-      R.TakenIn[Node] = std::move(T);
+      R.TakenIn[Node] = T;
     }
 
     // Eq. 7: BLOCK_loc(n) = (BLOCK(n) u union_{s in SUCCS^F} BLOCK_loc(s))
@@ -273,7 +254,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
       BitVector B = unionSuccs(Ifg, R.BlockLoc, Node, {ET::Forward}, U);
       B |= R.Block[Node];
       B.reset(R.Take[Node]);
-      R.BlockLoc[Node] = std::move(B);
+      R.BlockLoc[Node] = B;
     }
 
     // Eq. 8: TAKE_loc(n) = TAKE(n)
@@ -283,7 +264,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
                                U);
       T.reset(R.Block[Node]);
       T |= R.Take[Node];
-      R.TakeLoc[Node] = std::move(T);
+      R.TakeLoc[Node] = T;
     }
   }
 
@@ -315,7 +296,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
           meetPreds(Ifg, Pl.GivenOut, Node, {ET::Forward, ET::Jump}, U);
       if (Ifg.headerOf(Node) != InvalidNode &&
           !NoHoist[Ifg.headerOf(Node)]) {
-        BitVector FromHeader = Pl.Given[Ifg.headerOf(Node)];
+        BitVector FromHeader(Pl.Given[Ifg.headerOf(Node)]);
         FromHeader.reset(R.Steal[Ifg.headerOf(Node)]);
         In |= FromHeader;
       }
@@ -325,7 +306,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
         Some &= R.TakenIn[Node];
         In |= Some;
       }
-      Pl.GivenIn[Node] = std::move(In);
+      Pl.GivenIn[Node] = In;
 
       // Eq. 12: GIVEN(n) = GIVEN_in(n) u (EAGER ? TAKEN_in(n) : TAKE(n))
       Pl.Given[Node] = Pl.GivenIn[Node];
@@ -333,10 +314,10 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
           Urg == Urgency::Eager ? R.TakenIn[Node] : R.Take[Node];
 
       // Eq. 13: GIVEN_out(n) = (GIVE(n) u GIVEN(n)) - STEAL(n)
-      BitVector Out = R.Give[Node];
+      BitVector Out(R.Give[Node]);
       Out |= Pl.Given[Node];
       Out.reset(R.Steal[Node]);
-      Pl.GivenOut[Node] = std::move(Out);
+      Pl.GivenOut[Node] = Out;
     }
   }
 
@@ -354,7 +335,7 @@ GntResult gnt::solveGiveNTakeClassic(const IntervalFlowGraph &Ifg,
       BitVector Out = unionSuccs(Ifg, Pl->GivenIn, Node,
                                  {ET::Forward, ET::Jump}, U);
       Out.reset(Pl->GivenOut[Node]);
-      Pl->ResOut[Node] = std::move(Out);
+      Pl->ResOut[Node] = Out;
 
       // The paper's no-critical-edge argument (Section 4.5) implies exit
       // production only lands on single-successor nodes.  JUMP edges are
@@ -383,7 +364,7 @@ namespace {
 using Word = DataflowMatrix::Word;
 
 /// Arena row layout: 20 fields x N nodes, field-major so one field's
-/// rows are contiguous (the export walks field by field).
+/// rows are contiguous (each GntResult field is one run of rows).
 enum ArenaField : unsigned {
   FSteal,
   FGive,
@@ -407,6 +388,7 @@ enum ArenaField : unsigned {
   FLazyResOut,
   NumArenaFields
 };
+static_assert(NumArenaFields == NumGntFields, "arena layout out of sync");
 
 /// Reusable per-node scratch: row pointers of one edge-set x variable
 /// combination, gathered once per node so the word sweeps below stay
@@ -981,33 +963,6 @@ void solveRange(const IntervalFlowGraph &Ifg, const GntProblem &P,
   solveIntoArena(Ifg, P, M, W0, W1 - W0);
 }
 
-/// Exposes the arena as the GntResult's BitVector fields. No words are
-/// copied: every field vector borrows its rows, and the result keeps
-/// the arena alive through its Arena handle. The forEachGntField
-/// enumeration order matches the ArenaField layout.
-GntResult exportArena(std::shared_ptr<DataflowMatrix> M, unsigned NumNodes) {
-  // Bottom-row contract: every row an Uninit writer produced must honor
-  // the tail-word invariant before it is borrowed into BitVectors. The
-  // Debug 0xA5 poison makes a never-written row trip this whenever the
-  // universe is not a word multiple.
-  assert(M->rowsExportable() &&
-         "arena row exported with bits past the universe "
-         "(Uninit writer broke the bottom-row contract)");
-  GntResult R;
-  const unsigned Bits = M->bits();
-  unsigned Field = 0;
-  forEachGntField(R, [&](const char *, std::vector<BitVector> &V) {
-    V.reserve(NumNodes);
-    for (unsigned Id = 0; Id != NumNodes; ++Id)
-      V.push_back(
-          BitVector::borrowWords(M->row(Field * NumNodes + Id), Bits));
-    ++Field;
-  });
-  assert(Field == NumArenaFields && "field enumeration out of sync");
-  R.Arena = std::move(M);
-  return R;
-}
-
 } // namespace
 
 void gnt::detail::resolveArenaMasked(const IntervalFlowGraph &Ifg,
@@ -1020,22 +975,73 @@ void gnt::detail::resolveArenaMasked(const IntervalFlowGraph &Ifg,
   solveIntoArena(Ifg, P, M, 0, M.wordsPerRow(), &Masks);
 }
 
-GntResult gnt::detail::exportGntArena(std::shared_ptr<DataflowMatrix> M,
-                                      unsigned NumNodes) {
-  return exportArena(std::move(M), NumNodes);
+//===----------------------------------------------------------------------===//
+// GntResult: 20 row-view fields over one arena
+//===----------------------------------------------------------------------===//
+
+GntResult::GntResult(std::shared_ptr<DataflowMatrix> M) : Arena(std::move(M)) {
+  // Bottom-row contract: every row an Uninit writer produced must honor
+  // the tail-word invariant before it is handed out as a BitRow. The
+  // Debug 0xA5 poison makes a never-written row trip this whenever the
+  // universe is not a word multiple.
+  assert((!Arena || Arena->rowsExportable()) &&
+         "arena row exported with bits past the universe "
+         "(Uninit writer broke the bottom-row contract)");
+  bind();
+}
+
+GntResult::GntResult(const GntResult &RHS)
+    : Arena(RHS.Arena ? std::make_shared<DataflowMatrix>(*RHS.Arena)
+                      : nullptr),
+      Compression(RHS.Compression) {
+  bind();
+}
+
+GntResult::GntResult(GntResult &&RHS) noexcept
+    : Arena(std::move(RHS.Arena)), Compression(RHS.Compression) {
+  bind();
+  RHS.bind();
+}
+
+GntResult &GntResult::operator=(const GntResult &RHS) {
+  if (this != &RHS)
+    *this = GntResult(RHS);
+  return *this;
+}
+
+GntResult &GntResult::operator=(GntResult &&RHS) noexcept {
+  if (this != &RHS) {
+    Arena = std::move(RHS.Arena);
+    Compression = RHS.Compression;
+    bind();
+    RHS.bind();
+  }
+  return *this;
+}
+
+void GntResult::bind() {
+  // The forEachGntField enumeration order is the ArenaField layout.
+  const unsigned N = Arena ? Arena->rows() / NumGntFields : 0;
+  assert((!Arena || Arena->rows() == NumGntFields * N) &&
+         "arena not laid out as 20 fields");
+  unsigned Field = 0;
+  forEachGntField(*this, [&](const char *, BitRows &F) {
+    F = Arena ? Arena->field(Field * N, N) : BitRows();
+    ++Field;
+  });
+  assert(Field == NumGntFields && "field enumeration out of sync");
 }
 
 GntResult gnt::solveGiveNTake(const IntervalFlowGraph &Ifg,
                               const GntProblem &P) {
   const unsigned N = Ifg.size();
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
+  assert(P.numNodes() == N && "problem not sized to the graph");
 
   auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
                                             P.UniverseSize,
                                             DataflowMatrix::Uninit);
   solveRange(Ifg, P, *M, 0, M->wordsPerRow());
-  return exportArena(std::move(M), N);
+  return GntResult(std::move(M));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1073,8 +1079,7 @@ GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
   if (Shards <= 1 || TotalWords <= 1)
     return solveGiveNTake(Ifg, P);
   Shards = std::min(Shards, TotalWords);
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
+  assert(P.numNodes() == N && "problem not sized to the graph");
 
   // Workers solve disjoint word windows of one shared arena. Because no
   // equation crosses word lanes, each window's words come out exactly as
@@ -1087,7 +1092,7 @@ GntResult gnt::solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
   runStaticWindows(TotalWords, Shards, [&](unsigned A, unsigned B) {
     solveRange(Ifg, P, *M, A, B);
   });
-  return exportArena(std::move(M), N);
+  return GntResult(std::move(M));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1098,8 +1103,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
                                         const GntProblem &P,
                                         unsigned Shards) {
   const unsigned N = Ifg.size();
-  assert(P.TakeInit.size() == N && P.GiveInit.size() == N &&
-         P.StealInit.size() == N && "problem not sized to the graph");
+  assert(P.numNodes() == N && "problem not sized to the graph");
 
   // Abort the partition as soon as the live class count proves the
   // input unprofitable (the threshold mirrors profitable()): on
@@ -1142,7 +1146,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
     auto M = std::make_shared<DataflowMatrix>(NumArenaFields * N,
                                               P.UniverseSize,
                                               DataflowMatrix::LazyZeroed);
-    GntResult R = exportArena(std::move(M), N);
+    GntResult R(std::move(M));
     R.Compression = Stats;
     return R;
   }
@@ -1155,8 +1159,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
   const std::vector<ExpandSeg> Cover = buildCoverPlan(Plan);
   GntProblem CP(N, Classes.NumClasses, P.Dir);
   CP.NoHoistHeaders = P.NoHoistHeaders;
-  auto CompressRows = [&](const std::vector<BitVector> &Full,
-                          std::vector<BitVector> &Narrow) {
+  auto CompressRows = [&](const BitRows &Full, BitRows &Narrow) {
     for (unsigned Id = 0; Id != N; ++Id) {
       const BitVector::Word *Src = Full[Id].words();
       BitVector::Word *Dst = Narrow[Id].wordsData();
@@ -1172,7 +1175,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
   // its (small) arena is only an intermediate here.
   GntResult Narrow = Shards > 1 ? solveGiveNTakeSharded(Ifg, CP, Shards)
                                 : solveGiveNTake(Ifg, CP);
-  const auto *MC = static_cast<const DataflowMatrix *>(Narrow.Arena.get());
+  const DataflowMatrix *MC = Narrow.Arena.get();
   assert(MC && "arena solver always exports an arena");
 
   // Expand all 20 variables back to the full universe, tiling every
@@ -1181,8 +1184,8 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
   // every segment boundary is word-aligned the plan compiles to a
   // straight-line whole-word program, which keeps the hot loop at bare
   // copies and memsets; otherwise the bit-granular expandRow handles
-  // the general case. The expanded matrix honors the same borrowWords
-  // export contract as a direct solve.
+  // the general case. The expanded matrix has the same 20 x N layout
+  // and bottom-row contract as a direct solve.
   const unsigned SrcWords = MC->wordsPerRow();
   const std::vector<ExpandWordOp> WordProg =
       compileExpandWordPlan(Plan, DstWords);
@@ -1207,7 +1210,7 @@ GntResult gnt::solveGiveNTakeCompressed(const IntervalFlowGraph &Ifg,
   else
     ExpandRows(0, NumRows);
 
-  GntResult R = exportArena(std::move(ME), N);
+  GntResult R(std::move(ME));
   R.Compression = Stats;
   return R;
 }

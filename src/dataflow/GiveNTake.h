@@ -38,14 +38,13 @@
 
 #include "interval/IntervalFlowGraph.h"
 #include "support/BitVector.h"
+#include "support/DataflowMatrix.h"
 
 #include <atomic>
 #include <memory>
 #include <vector>
 
 namespace gnt {
-
-class DataflowMatrix;
 
 namespace detail {
 /// Test-only fault injection: when set, the arena evaluator's fused S4
@@ -66,14 +65,18 @@ enum class Direction { Before, After };
 /// relative to the reversed flow of control.
 enum class Urgency { Eager, Lazy };
 
-/// Inputs to a GIVE-N-TAKE instance. All vectors are indexed by CFG node
-/// id and sized to the item universe.
+/// Inputs to a GIVE-N-TAKE instance. The three init fields are indexed
+/// by CFG node id and sized to the item universe; they are row views
+/// (BitRows) over one zeroed matrix the problem owns, so `TakeInit[n]`
+/// is a BitRow: `set(i)`, `|=`, iteration and assignment all read or
+/// write the matrix row in place. Copying a problem copies the matrix
+/// in one memcpy and re-binds the fields to the copy.
 struct GntProblem {
   Direction Dir = Direction::Before;
   unsigned UniverseSize = 0;
-  std::vector<BitVector> TakeInit;
-  std::vector<BitVector> GiveInit;
-  std::vector<BitVector> StealInit;
+  BitRows TakeInit;
+  BitRows GiveInit;
+  BitRows StealInit;
 
   /// Headers treated pessimistically for zero-trip execution: the
   /// Equation 5 hoisting terms are suppressed (consumption from the loop
@@ -87,18 +90,62 @@ struct GntProblem {
   GntProblem(unsigned NumNodes, unsigned UniverseSize,
              Direction Dir = Direction::Before)
       : Dir(Dir), UniverseSize(UniverseSize),
-        TakeInit(NumNodes, BitVector(UniverseSize)),
-        GiveInit(NumNodes, BitVector(UniverseSize)),
-        StealInit(NumNodes, BitVector(UniverseSize)) {}
+        Init(3 * NumNodes, UniverseSize) {
+    bind();
+  }
+  GntProblem(const GntProblem &RHS)
+      : Dir(RHS.Dir), UniverseSize(RHS.UniverseSize),
+        NoHoistHeaders(RHS.NoHoistHeaders), Init(RHS.Init) {
+    bind();
+  }
+  GntProblem(GntProblem &&RHS) noexcept
+      : Dir(RHS.Dir), UniverseSize(RHS.UniverseSize),
+        NoHoistHeaders(std::move(RHS.NoHoistHeaders)),
+        Init(std::move(RHS.Init)) {
+    bind();
+    RHS.bind();
+  }
+  GntProblem &operator=(const GntProblem &RHS) {
+    if (this != &RHS)
+      *this = GntProblem(RHS);
+    return *this;
+  }
+  GntProblem &operator=(GntProblem &&RHS) noexcept {
+    if (this != &RHS) {
+      Dir = RHS.Dir;
+      UniverseSize = RHS.UniverseSize;
+      NoHoistHeaders = std::move(RHS.NoHoistHeaders);
+      Init = std::move(RHS.Init);
+      bind();
+      RHS.bind();
+    }
+    return *this;
+  }
+
+  unsigned numNodes() const { return TakeInit.size(); }
+
+  /// The backing matrix, field-major: rows [0, N) are TAKE_init,
+  /// [N, 2N) GIVE_init and [2N, 3N) STEAL_init.
+  const DataflowMatrix &initMatrix() const { return Init; }
+
+private:
+  void bind() {
+    const unsigned N = Init.rows() / 3;
+    TakeInit = Init.field(0, N);
+    GiveInit = Init.field(N, N);
+    StealInit = Init.field(2 * N, N);
+  }
+
+  DataflowMatrix Init;
 };
 
 /// One placement solution (either EAGER or LAZY): Equations 11-15.
 struct GntPlacement {
-  std::vector<BitVector> GivenIn;  ///< Eq. 11.
-  std::vector<BitVector> Given;    ///< Eq. 12.
-  std::vector<BitVector> GivenOut; ///< Eq. 13.
-  std::vector<BitVector> ResIn;    ///< Eq. 14: production at node entry.
-  std::vector<BitVector> ResOut;   ///< Eq. 15: production at node exit.
+  BitRows GivenIn;  ///< Eq. 11.
+  BitRows Given;    ///< Eq. 12.
+  BitRows GivenOut; ///< Eq. 13.
+  BitRows ResIn;    ///< Eq. 14: production at node entry.
+  BitRows ResOut;   ///< Eq. 15: production at node exit.
 };
 
 /// What the universe-compression layer did for one solve. Zero-valued
@@ -116,38 +163,56 @@ struct GntCompressionStats {
 /// tests can validate the paper's Section 4 worked example directly.
 /// All variables are expressed in the *solving* orientation: for AFTER
 /// problems, "in" refers to the node exit in program order.
+///
+/// Every field is a row view over one solve arena: `Take[n]` is row
+/// (FTake * N + n) of \p Arena, with no per-node object behind it.
 struct GntResult {
-  std::vector<BitVector> Steal;    ///< Eq. 1.
-  std::vector<BitVector> Give;     ///< Eq. 2.
-  std::vector<BitVector> Block;    ///< Eq. 3.
-  std::vector<BitVector> TakenOut; ///< Eq. 4.
-  std::vector<BitVector> Take;     ///< Eq. 5.
-  std::vector<BitVector> TakenIn;  ///< Eq. 6.
-  std::vector<BitVector> BlockLoc; ///< Eq. 7.
-  std::vector<BitVector> TakeLoc;  ///< Eq. 8.
-  std::vector<BitVector> GiveLoc;  ///< Eq. 9.
-  std::vector<BitVector> StealLoc; ///< Eq. 10.
+  BitRows Steal;    ///< Eq. 1.
+  BitRows Give;     ///< Eq. 2.
+  BitRows Block;    ///< Eq. 3.
+  BitRows TakenOut; ///< Eq. 4.
+  BitRows Take;     ///< Eq. 5.
+  BitRows TakenIn;  ///< Eq. 6.
+  BitRows BlockLoc; ///< Eq. 7.
+  BitRows TakeLoc;  ///< Eq. 8.
+  BitRows GiveLoc;  ///< Eq. 9.
+  BitRows StealLoc; ///< Eq. 10.
   GntPlacement Eager;
   GntPlacement Lazy;
 
-  /// Keep-alive handle for the DataflowMatrix arena backing the field
-  /// BitVectors when this result came from the arena solver (the
-  /// vectors then borrow their words from the arena instead of owning
-  /// copies — see BitVector::borrowWords). Null for results assembled
-  /// from standalone BitVectors, e.g. by the reference oracle. Copying
-  /// a GntResult deep-copies every BitVector into owned storage either
-  /// way, so the handle never outlives its users.
-  std::shared_ptr<void> Arena;
+  /// The arena the fields view: 20 x N rows, field-major in
+  /// forEachGntField order. An incremental memo hit shares it with the
+  /// memo; copying a GntResult deep-copies it, so a copy owns
+  /// independent storage. Null for a default-constructed result.
+  std::shared_ptr<DataflowMatrix> Arena;
 
   /// Universe-compression accounting for this solve (see
   /// solveGiveNTakeCompressed). Default-constructed for the other
   /// entry points.
   GntCompressionStats Compression;
+
+  GntResult() = default;
+  /// Binds the 20 fields to \p Arena, which must hold 20 x N rows.
+  explicit GntResult(std::shared_ptr<DataflowMatrix> Arena);
+  GntResult(const GntResult &RHS);
+  GntResult(GntResult &&RHS) noexcept;
+  GntResult &operator=(const GntResult &RHS);
+  GntResult &operator=(GntResult &&RHS) noexcept;
+
+  /// Number of nodes (rows per field).
+  unsigned numNodes() const { return Steal.size(); }
+
+private:
+  void bind();
 };
 
-/// Applies \p Fn("NAME", FieldVector) to every dataflow variable of a
+/// Number of dataflow variables a GntResult holds per node.
+inline constexpr unsigned NumGntFields = 20;
+
+/// Applies \p Fn("NAME", Field) to every dataflow variable of a
 /// GntResult: the ten Figure 13 variables plus the five placement
-/// variables of each urgency (20 vectors total). Shard stitching and
+/// variables of each urgency (20 BitRows fields total), in arena
+/// order. Shard stitching and
 /// the differential test battery iterate fields through this helper, so
 /// both stay exhaustive by construction when a field is added.
 template <typename ResultT, typename Fn>
@@ -182,8 +247,8 @@ void forEachGntField(ResultT &&R, Fn &&F) {
 ///
 /// The evaluator works on a flat DataflowMatrix arena (one contiguous
 /// allocation for all 20 variables) and fuses the equations of each
-/// schedule step into a single word loop per node; the result is
-/// materialized into the BitVector fields afterwards. Values are
+/// schedule step into a single word loop per node; the result's fields
+/// are row views over that arena. Values are
 /// bit-for-bit identical to solveGiveNTakeClassic(). This is the base
 /// layer of the solver stack; solveGiveNTakeSharded parallelizes it
 /// across the universe and solveGiveNTakeCompressed narrows the
@@ -217,7 +282,7 @@ GntResult solveGiveNTakeSharded(const IntervalFlowGraph &Ifg,
 /// solved once via a representative, items with all-empty columns are
 /// elided as trivially bottom, and the compressed solution is expanded
 /// back to the full universe afterwards (word-run copies into a fresh
-/// arena, so the zero-copy borrowWords export contract is unchanged).
+/// arena of the same 20 x N layout).
 /// Results are byte-identical to the plain solve — a contract enforced
 /// by the property battery and the fuzzer's differential oracle.
 ///
@@ -242,14 +307,14 @@ struct GntRun {
   GntResult Result;
 
   /// Production at the *program-order* entry of node \p N for \p U.
-  const BitVector &resAtEntry(Urgency U, NodeId N) const {
+  ConstBitRow resAtEntry(Urgency U, NodeId N) const {
     const GntPlacement &P = U == Urgency::Eager ? Result.Eager : Result.Lazy;
     return OrientedProblem.Dir == Direction::Before ? P.ResIn[N]
                                                     : P.ResOut[N];
   }
 
   /// Production at the *program-order* exit of node \p N for \p U.
-  const BitVector &resAtExit(Urgency U, NodeId N) const {
+  ConstBitRow resAtExit(Urgency U, NodeId N) const {
     const GntPlacement &P = U == Urgency::Eager ? Result.Eager : Result.Lazy;
     return OrientedProblem.Dir == Direction::Before ? P.ResOut[N]
                                                     : P.ResIn[N];
@@ -319,14 +384,6 @@ struct ArenaSolveMasks {
 /// solve.
 void resolveArenaMasked(const IntervalFlowGraph &Ifg, const GntProblem &P,
                         DataflowMatrix &M, const ArenaSolveMasks &Masks);
-
-/// Exports \p M as a GntResult exactly like the internal arena export:
-/// every field BitVector borrows its words and the result keeps the
-/// arena alive through GntResult::Arena. \p M must be laid out
-/// field-major as 20 x \p NumNodes rows (the layout every arena entry
-/// point produces).
-GntResult exportGntArena(std::shared_ptr<DataflowMatrix> M,
-                         unsigned NumNodes);
 
 } // namespace detail
 

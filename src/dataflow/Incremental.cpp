@@ -15,10 +15,6 @@ using namespace gnt;
 
 namespace {
 
-/// The arena row count per node (the 20 dataflow variables of
-/// forEachGntField; GiveNTake.cpp's ArenaField layout).
-constexpr unsigned NumGntFields = 20;
-
 /// Folds one u64 into an FNV-1a state, byte by byte (little-endian, so
 /// the digest is byte-order stable like the string hashers).
 inline std::uint64_t mixU64(std::uint64_t H, std::uint64_t V) {
@@ -63,11 +59,11 @@ std::uint64_t gnt::gntStructureDigest(const IntervalFlowGraph &Ifg,
     H = mixU64(H, Ifg.lastChild(Id));
     H = mixU64(H, Ifg.headerOf(Id));
     H = mixU64(H, Ifg.level(Id));
-    const std::vector<NodeId> &Kids = Ifg.children(Id);
+    std::span<const NodeId> Kids = Ifg.children(Id);
     H = mixU64(H, Kids.size());
     for (NodeId C : Kids)
       H = mixU64(H, C);
-    const std::vector<IfgEdge> &Succs = Ifg.succs(Id);
+    std::span<const IfgEdge> Succs = Ifg.succs(Id);
     H = mixU64(H, Succs.size());
     for (const IfgEdge &E : Succs) {
       H = mixU64(H, E.Dst);
@@ -81,8 +77,7 @@ std::uint64_t gnt::gntNodeInputDigest(const GntProblem &P, NodeId N) {
   const unsigned Words = (P.UniverseSize + BitVector::WordBits - 1) /
                          BitVector::WordBits;
   std::uint64_t H = FnvOffsetBasis;
-  for (const std::vector<BitVector> *Init :
-       {&P.TakeInit, &P.GiveInit, &P.StealInit}) {
+  for (const BitRows *Init : {&P.TakeInit, &P.GiveInit, &P.StealInit}) {
     const BitVector::Word *Row = (*Init)[N].words();
     for (unsigned K = 0; K != Words; ++K)
       H = mixU64(H, Row[K]);
@@ -176,17 +171,6 @@ bool hasJumpOrSynthetic(const IntervalFlowGraph &Ifg) {
   return false;
 }
 
-std::shared_ptr<DataflowMatrix> cloneArena(const DataflowMatrix &Src) {
-  auto Clone = std::make_shared<DataflowMatrix>(Src.rows(), Src.bits(),
-                                                DataflowMatrix::Uninit);
-  // Rows are contiguous, so one copy of the whole storage clones them
-  // all.
-  if (Src.storageWords())
-    std::memcpy(Clone->row(0), Src.row(0),
-                Src.storageWords() * sizeof(DataflowMatrix::Word));
-  return Clone;
-}
-
 } // namespace
 
 GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
@@ -229,12 +213,12 @@ GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
       }
 
     if (!Any) {
-      // Full memo hit: nothing to compute; re-export the previous
-      // arena zero-copy. Several live results may share it — all
+      // Full memo hit: nothing to compute; the result views the
+      // memo's arena as is. Several live results may share it — all
       // readers, by the immutability discipline of GntSolveMemo.
       ++Stats.MemoHits;
       Memo.InputDigests = std::move(Digests);
-      Run.Result = detail::exportGntArena(Memo.Arena, N);
+      Run.Result = GntResult(Memo.Arena);
       return Run;
     }
 
@@ -245,7 +229,7 @@ GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
       // strictly after writing it, so a skipped step's cloned rows are
       // exactly what a cold solve would have recomputed.
       DirtyClosure Dirty(Ifg, Changed);
-      auto Clone = cloneArena(*Memo.Arena);
+      auto Clone = std::make_shared<DataflowMatrix>(*Memo.Arena);
       std::vector<char> Ran(N, 0);
       detail::ArenaSolveMasks Masks;
       Masks.S1 = &Dirty.S1;
@@ -282,7 +266,7 @@ GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
 
       Memo.InputDigests = std::move(Digests);
       Memo.Arena = Clone;
-      Run.Result = detail::exportGntArena(std::move(Clone), N);
+      Run.Result = GntResult(std::move(Clone));
       return Run;
     }
     // Jump edges present: fall through to a full solve (which still
@@ -300,10 +284,7 @@ GntRun gnt::runGiveNTakeIncremental(const IntervalFlowGraph &Forward,
 
   Memo.clear();
   if (Run.Result.Arena) {
-    // Recover the typed arena handle from the result's keep-alive
-    // (aliasing constructor: shares ownership, re-types the pointee).
-    Memo.Arena = std::shared_ptr<DataflowMatrix>(
-        Run.Result.Arena, static_cast<DataflowMatrix *>(Run.Result.Arena.get()));
+    Memo.Arena = Run.Result.Arena;
     Memo.StructureDigest = Structure;
     Memo.InputDigests = std::move(Digests);
     Memo.Nodes = N;

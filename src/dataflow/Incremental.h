@@ -70,7 +70,7 @@ namespace gnt {
 /// The previous solve of one (problem slot, option set): everything
 /// needed to detect what an edit changed and to reuse what it did not.
 /// The arena is immutable once stored — partial solves clone it — so
-/// exported results may keep borrowing its rows indefinitely.
+/// results may keep viewing its rows indefinitely.
 struct GntSolveMemo {
   /// Digest of the oriented graph shape + problem metadata (node count,
   /// direction, universe size, edges, interval structure, NoHoist set).
@@ -81,7 +81,8 @@ struct GntSolveMemo {
   std::vector<std::uint64_t> InputDigests;
   /// The converged solution arena (20 x Nodes rows). Immutable by
   /// discipline once stored: partial solves clone it before writing, so
-  /// any number of exported results can keep borrowing its rows.
+  /// any number of results (GntResult shares it on a memo hit) can keep
+  /// viewing its rows.
   std::shared_ptr<DataflowMatrix> Arena;
   unsigned Nodes = 0;
   unsigned UniverseSize = 0;

@@ -44,6 +44,8 @@
 
 #include "support/DataflowMatrix.h"
 
+#include <utility>
+
 using namespace gnt;
 
 namespace {
@@ -56,10 +58,9 @@ enum Section : unsigned { FT, FC, ST, SC, ClosT, NumSections };
 
 IntervalMustSolution
 gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
-                       const std::vector<BitVector> &Transp,
-                       const std::vector<BitVector> &Comp) {
+                       const BitRows &Transp, const BitRows &Comp) {
   const unsigned N = Ifg.size();
-  const unsigned U = N ? Transp[0].size() : 0;
+  const unsigned U = Transp.bits();
   IntervalMustSolution R;
   R.In.assign(N, BitVector(U));
   R.Out.assign(N, BitVector(U));
@@ -68,7 +69,7 @@ gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
 
   DataflowMatrix M(NumSections * N, U);
   auto row = [&](Section S, NodeId Node) {
-    return BitVector::borrowWords(M.row(S * N + Node), U);
+    return std::as_const(M).bitRow(S * N + Node);
   };
 
   using ET = EdgeType;
@@ -77,10 +78,10 @@ gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
   // The through-function of a sibling: what flows out of it as a
   // function of the value flowing in from its own siblings.
   auto throughT = [&](NodeId P) {
-    return Ifg.isHeader(P) ? row(ST, P) : BitVector(Transp[P]);
+    return Ifg.isHeader(P) ? row(ST, P) : Transp[P];
   };
   auto throughC = [&](NodeId P) {
-    return Ifg.isHeader(P) ? row(SC, P) : BitVector(Comp[P]);
+    return Ifg.isHeader(P) ? row(SC, P) : Comp[P];
   };
 
   // Pass 1: bottom-up over headers; children functions + loop closure.
@@ -100,14 +101,13 @@ gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
           PT = Transp[H];
           PC = Comp[H];
         } else if (Edge.Type == ET::Forward) {
-          // Sibling out-function: in-function composed with through.
-          // fromWords detaches a deep copy — a moved borrow would write
-          // the composition back through into the sibling's own rows.
+          // Sibling out-function: in-function composed with through,
+          // composed in owned copies of the sibling's rows.
           NodeId P = Edge.Src;
-          BitVector ThT = throughT(P), ThC = throughC(P);
-          PT = BitVector::fromWords(M.row(FT * N + P), U);
+          ConstBitRow ThT = throughT(P), ThC = throughC(P);
+          PT = row(FT, P);
           PT &= ThT;
-          PC = BitVector::fromWords(M.row(FC * N + P), U);
+          PC = row(FC, P);
           PC &= ThT;
           PC |= ThC;
         }
@@ -138,9 +138,9 @@ gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
     // behind it; only the reversed root genuinely cycles.)
     NodeId Latch = Ifg.lastChild(H);
     if (Latch != InvalidNode && (H != Ifg.root() || Ifg.isReversed())) {
-      BitVector OutT = BitVector::fromWords(M.row(FT * N + Latch), U);
-      BitVector OutC = BitVector::fromWords(M.row(FC * N + Latch), U);
-      BitVector ThT = throughT(Latch), ThC = throughC(Latch);
+      BitVector OutT(row(FT, Latch));
+      BitVector OutC(row(FC, Latch));
+      ConstBitRow ThT = throughT(Latch), ThC = throughC(Latch);
       OutT &= ThT;
       OutC &= ThT;
       OutC |= ThC;
@@ -162,7 +162,7 @@ gnt::solveIntervalMust(const IntervalFlowGraph &Ifg,
       // constant, so the through-part is empty and this is exact).
       BitVector In(U);
       if (Ifg.isReversed() && Ifg.lastChild(Node) != InvalidNode)
-        In = BitVector::fromWords(M.row(ClosT * N + Node), U);
+        In = row(ClosT, Node);
       BitVector Out = In;
       Out &= Transp[Node];
       Out |= Comp[Node];
@@ -189,22 +189,23 @@ LospreResult gnt::solveLospre(const Cfg &G, const IntervalFlowGraph &Ifg,
   const unsigned N = G.size();
   const unsigned U = Read.UniverseSize;
 
-  std::vector<BitVector> Transp(N, BitVector(U, true));
-  std::vector<BitVector> Comp(N, BitVector(U));
+  // TRANSP, COMP and COMP n TRANSP as three fields of one matrix.
+  DataflowMatrix Preds(3 * N, U);
+  BitRows Transp = Preds.field(0, N);
+  BitRows Comp = Preds.field(N, N);
+  BitRows CompAv = Preds.field(2 * N, N);
   for (NodeId Id = 0; Id != N; ++Id) {
+    Transp[Id].set();
     Transp[Id].reset(Read.StealInit[Id]);
     Comp[Id] = Read.TakeInit[Id];
     Comp[Id] |= Read.GiveInit[Id];
+    CompAv[Id] = Comp[Id];
+    CompAv[Id] &= Transp[Id];
   }
 
   LospreResult R;
   // Availability forward: Out = (In n TRANSP) u (COMP n TRANSP).
   {
-    std::vector<BitVector> CompAv(N, BitVector(U));
-    for (NodeId Id = 0; Id != N; ++Id) {
-      CompAv[Id] = Comp[Id];
-      CompAv[Id] &= Transp[Id];
-    }
     IntervalMustSolution Av = solveIntervalMust(Ifg, Transp, CompAv);
     R.AvIn = std::move(Av.In);
     R.AvOut = std::move(Av.Out);
@@ -232,7 +233,7 @@ LospreResult gnt::solveLospre(const Cfg &G, const IntervalFlowGraph &Ifg,
       BitVector E = R.AntIn[S];
       E.reset(R.AvOut[P]);
       if (P != G.entry()) {
-        BitVector Guard = Transp[P];
+        BitVector Guard(Transp[P]);
         Guard &= R.AntOut[P];
         E.reset(Guard);
       }

@@ -53,8 +53,8 @@ struct IntervalMustSolution {
 /// the solving orientation (they are per-node predicates, so orientation
 /// does not change them). The boundary value at ROOT's in is bottom.
 IntervalMustSolution solveIntervalMust(const IntervalFlowGraph &Ifg,
-                                       const std::vector<BitVector> &Transp,
-                                       const std::vector<BitVector> &Comp);
+                                       const BitRows &Transp,
+                                       const BitRows &Comp);
 
 /// Full lospre dataflow for a READ (Before) problem: anticipability and
 /// availability plus the busy-code-motion insertion points.

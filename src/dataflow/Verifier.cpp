@@ -102,7 +102,7 @@ private:
   void checkSufficiency(const GntPlacement &Pl, const char *Tag) {
     std::vector<BitVector> AvailBody(N, BitVector(U, true));
     {
-      BitVector S = Pl.ResIn[Start];
+      BitVector S(Pl.ResIn[Start]);
       AvailBody[Start] = S;
     }
 
@@ -179,7 +179,7 @@ private:
 
     for (NodeId Node = 0; Node != N; ++Node) {
       // C3: every consumption covered at its own node.
-      BitVector Need = P.TakeInit[Node];
+      BitVector Need(P.TakeInit[Node]);
       Need.reset(AvailBody[Node]);
       for (unsigned I : Need)
         report(DiagSeverity::Error, CheckId::C3, Tag, Node, I,
@@ -205,7 +205,7 @@ private:
       }
       if (!Any)
         EntryAvail.reset();
-      BitVector Re = Pl.ResIn[Node];
+      BitVector Re(Pl.ResIn[Node]);
       Re &= EntryAvail;
       for (unsigned I : Re)
         report(DiagSeverity::Note, CheckId::O1, Tag, Node, I,
@@ -214,7 +214,7 @@ private:
       BitVector AfterSteal = AvailBody[Node];
       AfterSteal |= P.GiveInit[Node];
       AfterSteal.reset(P.StealInit[Node]);
-      BitVector ReOut = Pl.ResOut[Node];
+      BitVector ReOut(Pl.ResOut[Node]);
       ReOut &= AfterSteal;
       for (unsigned I : ReOut)
         report(DiagSeverity::Note, CheckId::O1, Tag, Node, I,
@@ -245,10 +245,10 @@ private:
       BitVector Pend, Clear;
     };
 
-    auto applySend = [&](State &S, const BitVector &Send, NodeId Node,
+    auto applySend = [&](State &S, ConstBitRow Send, NodeId Node,
                          bool Final) {
       if (Final) {
-        BitVector Bad = Send;
+        BitVector Bad(Send);
         Bad &= S.Pend;
         for (unsigned I : Bad)
           reportC1(Node, I, "unmatched second eager production (send)");
@@ -256,10 +256,10 @@ private:
       S.Pend |= Send;
       S.Clear.reset(Send);
     };
-    auto applyRecv = [&](State &S, const BitVector &Recv, NodeId Node,
+    auto applyRecv = [&](State &S, ConstBitRow Recv, NodeId Node,
                          bool Final) {
       if (Final) {
-        BitVector Bad = Recv;
+        BitVector Bad(Recv);
         Bad &= S.Clear;
         for (unsigned I : Bad)
           reportC1(Node, I, "lazy production (receive) without prior send");

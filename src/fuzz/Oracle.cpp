@@ -40,10 +40,10 @@ PipelineOptions checkedOptions(unsigned Shards = 0) {
 }
 
 /// The (name, field) rows of a solver result, in forEachGntField order.
-std::vector<std::pair<std::string, const std::vector<BitVector> *>>
+std::vector<std::pair<std::string, const BitRows *>>
 solverFields(const GntResult &R) {
-  std::vector<std::pair<std::string, const std::vector<BitVector> *>> Out;
-  forEachGntField(R, [&](const char *Name, const std::vector<BitVector> &V) {
+  std::vector<std::pair<std::string, const BitRows *>> Out;
+  forEachGntField(R, [&](const char *Name, const BitRows &V) {
     Out.emplace_back(Name, &V);
   });
   return Out;

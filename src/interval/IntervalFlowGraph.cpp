@@ -10,7 +10,8 @@
 #include "support/Support.h"
 
 #include <algorithm>
-#include <map>
+#include <functional>
+#include <queue>
 #include <set>
 #include <sstream>
 
@@ -145,13 +146,11 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
   unsigned N = G.size();
   IntervalFlowGraph Ifg;
   Ifg.Root = G.entry();
+  Ifg.Exit = G.exit();
   Ifg.Level.resize(N);
   Ifg.Parent.resize(N);
   Ifg.LastChild.assign(N, InvalidNode);
   Ifg.HeaderOf.assign(N, InvalidNode);
-  Ifg.Children.resize(N);
-  Ifg.Succs.resize(N);
-  Ifg.Preds.resize(N);
 
   for (NodeId Node = 0; Node != N; ++Node) {
     Ifg.Level[Node] = Forest->level(Node);
@@ -162,7 +161,9 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
     return Node == Ifg.Root || Forest->isHeader(Node);
   };
 
-  // Classify every CFG edge (Section 3.3).
+  // Classify every CFG edge (Section 3.3). Edges are collected in one
+  // flat list and laid out as CSR arrays once every edge is known.
+  std::vector<IfgEdge> Edges;
   std::set<NodeId> Poisoned;
   std::vector<IfgEdge> JumpEdges;
   for (NodeId M = 0; M != N; ++M) {
@@ -193,10 +194,10 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
         T = EdgeType::Jump;
         JumpEdges.push_back({M, Node, EdgeType::Jump});
       }
-      Ifg.addEdge(M, Node, T);
+      Edges.push_back({M, Node, T});
     }
   }
-  Ifg.LastChild[Ifg.Root] = G.exit();
+  Ifg.LastChild[Ifg.Root] = Ifg.Exit;
 
   // SYNTHETIC edges: one per interval a JUMP edge leaves, from that
   // interval's header to the jump sink (Section 3.3).
@@ -204,47 +205,61 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
     NodeId H = Ifg.Parent[J.Src];
     assert(Ifg.Level[J.Src] > Ifg.Level[J.Dst] && "jump must leave a loop");
     while (H != InvalidNode && H != Ifg.Parent[J.Dst]) {
-      Ifg.addEdge(H, J.Dst, EdgeType::Synthetic);
+      Edges.push_back({H, J.Dst, EdgeType::Synthetic});
       Poisoned.insert(H);
       H = Ifg.Parent[H];
     }
   }
   Ifg.PoisonedHeaders.assign(Poisoned.begin(), Poisoned.end());
+  Ifg.compactEdges(Edges);
 
   // CHILDREN(h) in FORWARD order: Kahn's algorithm over the sibling DAG
-  // formed by FORWARD edges and same-level SYNTHETIC edges.
+  // formed by FORWARD edges and same-level SYNTHETIC edges. Members of
+  // each interval are bucketed by parent in node order (the same CSR
+  // layout the children take), and the ready set pops the smallest id.
   {
-    std::vector<std::vector<NodeId>> Members(N);
+    std::vector<unsigned> &Off = Ifg.ChildOff;
+    Off.assign(N + 1, 0);
     for (NodeId Node = 0; Node != N; ++Node)
       if (Node != Ifg.Root)
-        Members[Ifg.Parent[Node]].push_back(Node);
+        ++Off[Ifg.Parent[Node] + 1];
+    for (NodeId H = 0; H != N; ++H)
+      Off[H + 1] += Off[H];
+    std::vector<NodeId> Members(Off[N]);
+    {
+      std::vector<unsigned> Cursor(Off.begin(), Off.end() - 1);
+      for (NodeId Node = 0; Node != N; ++Node)
+        if (Node != Ifg.Root)
+          Members[Cursor[Ifg.Parent[Node]]++] = Node;
+    }
 
     std::vector<unsigned> Indeg(N, 0);
-    for (NodeId M = 0; M != N; ++M)
-      for (const IfgEdge &E : Ifg.Succs[M])
-        if ((E.Type == EdgeType::Forward || E.Type == EdgeType::Synthetic) &&
-            Ifg.Parent[E.Src] == Ifg.Parent[E.Dst])
-          ++Indeg[E.Dst];
+    for (const IfgEdge &E : Ifg.SuccList)
+      if ((E.Type == EdgeType::Forward || E.Type == EdgeType::Synthetic) &&
+          Ifg.Parent[E.Src] == Ifg.Parent[E.Dst])
+        ++Indeg[E.Dst];
 
+    Ifg.ChildList.resize(Off[N]);
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<NodeId>>
+        Ready;
     for (NodeId H = 0; H != N; ++H) {
-      if (Members[H].empty())
+      if (Off[H] == Off[H + 1])
         continue;
-      std::set<NodeId> Ready;
-      for (NodeId C : Members[H])
-        if (Indeg[C] == 0)
-          Ready.insert(C);
-      std::vector<NodeId> &Order = Ifg.Children[H];
+      for (unsigned I = Off[H]; I != Off[H + 1]; ++I)
+        if (Indeg[Members[I]] == 0)
+          Ready.push(Members[I]);
+      unsigned Out = Off[H];
       while (!Ready.empty()) {
-        NodeId C = *Ready.begin();
-        Ready.erase(Ready.begin());
-        Order.push_back(C);
-        for (const IfgEdge &E : Ifg.Succs[C])
+        NodeId C = Ready.top();
+        Ready.pop();
+        Ifg.ChildList[Out++] = C;
+        for (const IfgEdge &E : Ifg.succs(C))
           if ((E.Type == EdgeType::Forward ||
                E.Type == EdgeType::Synthetic) &&
               Ifg.Parent[E.Dst] == H && --Indeg[E.Dst] == 0)
-            Ready.insert(E.Dst);
+            Ready.push(E.Dst);
       }
-      if (Order.size() != Members[H].size()) {
+      if (Out != Off[H + 1]) {
         R.Errors.push_back("cyclic sibling order in interval of node " +
                            describeNode(G, H));
         return R;
@@ -260,16 +275,37 @@ IntervalFlowGraph::BuildResult IntervalFlowGraph::build(Cfg &G) {
     std::vector<unsigned> Pos(N, 0);
     for (unsigned I = 0; I != Ifg.Preorder.size(); ++I)
       Pos[Ifg.Preorder[I]] = I;
-    for (NodeId M = 0; M != N; ++M)
-      for (const IfgEdge &E : Ifg.Succs[M])
-        if (E.Type == EdgeType::Forward || E.Type == EdgeType::Jump ||
-            E.Type == EdgeType::Synthetic)
-          assert(Pos[E.Src] < Pos[E.Dst] && "preorder violates edge order");
+    for (const IfgEdge &E : Ifg.SuccList)
+      if (E.Type == EdgeType::Forward || E.Type == EdgeType::Jump ||
+          E.Type == EdgeType::Synthetic)
+        assert(Pos[E.Src] < Pos[E.Dst] && "preorder violates edge order");
   }
 #endif
 
   R.Ifg = std::move(Ifg);
   return R;
+}
+
+void IntervalFlowGraph::compactEdges(const std::vector<IfgEdge> &Edges) {
+  const unsigned N = size();
+  SuccOff.assign(N + 1, 0);
+  PredOff.assign(N + 1, 0);
+  for (const IfgEdge &E : Edges) {
+    ++SuccOff[E.Src + 1];
+    ++PredOff[E.Dst + 1];
+  }
+  for (NodeId Id = 0; Id != N; ++Id) {
+    SuccOff[Id + 1] += SuccOff[Id];
+    PredOff[Id + 1] += PredOff[Id];
+  }
+  SuccList.resize(Edges.size());
+  PredList.resize(Edges.size());
+  std::vector<unsigned> Cursor(SuccOff.begin(), SuccOff.end() - 1);
+  for (const IfgEdge &E : Edges)
+    SuccList[Cursor[E.Src]++] = E;
+  Cursor.assign(PredOff.begin(), PredOff.end() - 1);
+  for (const IfgEdge &E : SuccList)
+    PredList[Cursor[E.Dst]++] = E;
 }
 
 void IntervalFlowGraph::computePreorder() {
@@ -282,7 +318,7 @@ void IntervalFlowGraph::computePreorder() {
   Preorder.push_back(Root);
   while (!Stack.empty()) {
     auto &[Node, NextChild] = Stack.back();
-    const std::vector<NodeId> &Kids = Children[Node];
+    std::span<const NodeId> Kids = children(Node);
     if (NextChild < Kids.size()) {
       NodeId C = Kids[NextChild++];
       Preorder.push_back(C);
@@ -297,37 +333,51 @@ void IntervalFlowGraph::computePreorder() {
 IntervalFlowGraph IntervalFlowGraph::reversed() const {
   IntervalFlowGraph R;
   R.Root = Root;
+  R.Exit = Exit;
   R.Reversed = !Reversed;
   R.Level = Level;
   R.Parent = Parent;
   R.PoisonedHeaders = PoisonedHeaders;
-  unsigned N = size();
+  const unsigned N = size();
+
+  // Flipping every edge turns the succs CSR into the reversed preds and
+  // the preds CSR into the reversed succs, offsets and all.
+  auto Flip = [](const IfgEdge &E) {
+    EdgeType T = E.Type;
+    if (T == EdgeType::Entry)
+      T = EdgeType::Cycle;
+    else if (T == EdgeType::Cycle)
+      T = EdgeType::Entry;
+    return IfgEdge{E.Dst, E.Src, T};
+  };
+  R.SuccOff = PredOff;
+  R.PredOff = SuccOff;
+  R.SuccList.resize(PredList.size());
+  R.PredList.resize(SuccList.size());
+  std::transform(PredList.begin(), PredList.end(), R.SuccList.begin(), Flip);
+  std::transform(SuccList.begin(), SuccList.end(), R.PredList.begin(), Flip);
+
   R.LastChild.assign(N, InvalidNode);
   R.HeaderOf.assign(N, InvalidNode);
-  R.Children.resize(N);
-  R.Succs.resize(N);
-  R.Preds.resize(N);
+  for (const IfgEdge &E : R.SuccList) {
+    if (E.Type == EdgeType::Entry)
+      R.HeaderOf[E.Dst] = E.Src;
+    else if (E.Type == EdgeType::Cycle)
+      R.LastChild[E.Dst] = E.Src;
+  }
+  // The reversed ROOT's LASTCHILD comes from the old ROOT ENTRY edge; the
+  // reversed ROOT has no ENTRY edge, mirroring the forward graph's
+  // missing exit->ROOT cycle edge. Reversing back restores the forward
+  // convention that LASTCHILD(ROOT) is the program exit.
+  if (!R.Reversed)
+    R.LastChild[Root] = Exit;
 
-  for (NodeId M = 0; M != N; ++M) {
-    for (const IfgEdge &E : Succs[M]) {
-      EdgeType T = E.Type;
-      if (T == EdgeType::Entry)
-        T = EdgeType::Cycle;
-      else if (T == EdgeType::Cycle)
-        T = EdgeType::Entry;
-      R.addEdge(E.Dst, E.Src, T);
-      if (T == EdgeType::Entry)
-        R.HeaderOf[E.Src] = E.Dst;
-      else if (T == EdgeType::Cycle)
-        R.LastChild[E.Src] = E.Dst;
-    }
-  }
-  // Note: ROOT's reversed CYCLE edge (and hence LASTCHILD) comes from the
-  // old ROOT ENTRY edge automatically; the reversed ROOT has no ENTRY
-  // edge, mirroring the forward graph's missing exit->ROOT cycle edge.
-  for (NodeId H = 0; H != N; ++H) {
-    R.Children[H].assign(Children[H].rbegin(), Children[H].rend());
-  }
+  R.ChildOff = ChildOff;
+  R.ChildList.resize(ChildList.size());
+  for (NodeId H = 0; H != N; ++H)
+    std::reverse_copy(ChildList.begin() + ChildOff[H],
+                      ChildList.begin() + ChildOff[H + 1],
+                      R.ChildList.begin() + ChildOff[H]);
   R.computePreorder();
   return R;
 }
@@ -342,7 +392,7 @@ std::string IntervalFlowGraph::describe(const Cfg &G) const {
         OS << " lastchild=" << LastChild[Node];
     }
     OS << "\n";
-    for (const IfgEdge &E : Succs[Node])
+    for (const IfgEdge &E : succs(Node))
       OS << "    -> " << E.Dst << " " << edgeTypeName(E.Type) << "\n";
   }
   return OS.str();

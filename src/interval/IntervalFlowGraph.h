@@ -31,6 +31,7 @@
 #include "cfg/Cfg.h"
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,7 @@ public:
   /// synthetic nodes). Fails on irreducible graphs.
   static BuildResult build(Cfg &G);
 
-  unsigned size() const { return static_cast<unsigned>(Succs.size()); }
+  unsigned size() const { return static_cast<unsigned>(Level.size()); }
   NodeId root() const { return Root; }
 
   /// Loop nesting level; LEVEL(ROOT) = 0.
@@ -75,7 +76,9 @@ public:
   NodeId parent(NodeId N) const { return Parent[N]; }
 
   /// True for loop headers and for ROOT.
-  bool isHeader(NodeId N) const { return !Children[N].empty() || N == Root; }
+  bool isHeader(NodeId N) const {
+    return ChildOff[N] != ChildOff[N + 1] || N == Root;
+  }
 
   /// LASTCHILD(h): the source of the unique CYCLE edge into \p H. For
   /// ROOT (which has no CYCLE edge) this is the program exit node.
@@ -85,10 +88,19 @@ public:
   NodeId headerOf(NodeId N) const { return HeaderOf[N]; }
 
   /// CHILDREN(h) in FORWARD order (per-interval topological order).
-  const std::vector<NodeId> &children(NodeId H) const { return Children[H]; }
+  std::span<const NodeId> children(NodeId H) const {
+    return {ChildList.data() + ChildOff[H], ChildOff[H + 1] - ChildOff[H]};
+  }
 
-  const std::vector<IfgEdge> &succs(NodeId N) const { return Succs[N]; }
-  const std::vector<IfgEdge> &preds(NodeId N) const { return Preds[N]; }
+  /// Typed out-edges of \p N: CFG successor order, then SYNTHETIC edges.
+  std::span<const IfgEdge> succs(NodeId N) const {
+    return {SuccList.data() + SuccOff[N], SuccOff[N + 1] - SuccOff[N]};
+  }
+  /// Typed in-edges of \p N, ordered by source node and then by the
+  /// source's succs() order (the transpose of succs()).
+  std::span<const IfgEdge> preds(NodeId N) const {
+    return {PredList.data() + PredOff[N], PredOff[N + 1] - PredOff[N]};
+  }
 
   /// Nodes in PREORDER (FORWARD and DOWNWARD); ROOT first.
   const std::vector<NodeId> &preorder() const { return Preorder; }
@@ -103,9 +115,11 @@ public:
     return PoisonedHeaders;
   }
 
-  /// Returns the reversed view used for AFTER problems: same nodes, same
+  /// Returns the reversed graph used for AFTER problems: same nodes, same
   /// interval structure (Section 5.3), edges reversed with ENTRY and
-  /// CYCLE swapped.
+  /// CYCLE swapped. reversed().succs(n) is preds(n) with every edge
+  /// flipped, and reversed().reversed() equals the graph on every
+  /// accessor.
   IntervalFlowGraph reversed() const;
 
   /// True for graphs produced by reversed().
@@ -116,22 +130,26 @@ public:
   std::string describe(const Cfg &G) const;
 
 private:
-  void addEdge(NodeId Src, NodeId Dst, EdgeType Type) {
-    Succs[Src].push_back({Src, Dst, Type});
-    Preds[Dst].push_back({Src, Dst, Type});
-  }
+  /// Lays \p Edges (in insertion order) out as the succs/preds CSR
+  /// arrays: a stable counting sort by source, then its transpose.
+  void compactEdges(const std::vector<IfgEdge> &Edges);
 
   void computePreorder();
 
   NodeId Root = InvalidNode;
+  NodeId Exit = InvalidNode; ///< Program exit: LASTCHILD(ROOT) when forward.
   bool Reversed = false;
   std::vector<unsigned> Level;
   std::vector<NodeId> Parent;
   std::vector<NodeId> LastChild;
   std::vector<NodeId> HeaderOf;
-  std::vector<std::vector<NodeId>> Children;
-  std::vector<std::vector<IfgEdge>> Succs;
-  std::vector<std::vector<IfgEdge>> Preds;
+  // Adjacency in CSR form: node N's entries are List[Off[N], Off[N + 1]).
+  std::vector<unsigned> ChildOff;
+  std::vector<NodeId> ChildList;
+  std::vector<unsigned> SuccOff;
+  std::vector<IfgEdge> SuccList;
+  std::vector<unsigned> PredOff;
+  std::vector<IfgEdge> PredList;
   std::vector<NodeId> Preorder;
   std::vector<NodeId> PoisonedHeaders;
 };

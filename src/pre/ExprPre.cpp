@@ -250,8 +250,8 @@ ExprPreResult gnt::runExprPre(const Program &P, const Cfg &G,
   // result is kept in the temporary.
   for (NodeId Node = 0; Node != G.size(); ++Node) {
     const CfgNode &CN = G.node(Node);
-    const BitVector &In = R.Run.resAtEntry(Urgency::Lazy, Node);
-    const BitVector &Out = R.Run.resAtExit(Urgency::Lazy, Node);
+    ConstBitRow In = R.Run.resAtEntry(Urgency::Lazy, Node);
+    ConstBitRow Out = R.Run.resAtExit(Urgency::Lazy, Node);
     for (unsigned I : In)
       R.Insertions.push_back({I, CN.EmitStmt, CN.Where});
     for (unsigned I : Out)
@@ -259,7 +259,7 @@ ExprPreResult gnt::runExprPre(const Program &P, const Cfg &G,
           {I, CN.EmitStmt,
            CN.Where == EmitWhere::Before ? EmitWhere::After : CN.Where});
     // Occurrences covered by an upstream temporary become redundant.
-    BitVector Covered = R.Problem.TakeInit[Node];
+    BitVector Covered(R.Problem.TakeInit[Node]);
     Covered &= R.Run.Result.Lazy.GivenIn[Node];
     for (unsigned I : Covered)
       R.Redundant.push_back({Node, I});

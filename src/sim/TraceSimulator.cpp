@@ -49,7 +49,7 @@ public:
                      Op.Kind == CommOpKind::WriteRecv ||
                      Op.Kind == CommOpKind::AtomicWrite;
     EverGiven.assign(Items.size(), false);
-    for (const BitVector &BV : Plan.ReadProblem.GiveInit)
+    for (ConstBitRow BV : Plan.ReadProblem.GiveInit)
       for (unsigned I : BV)
         EverGiven[I] = true;
   }

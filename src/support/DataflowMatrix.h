@@ -12,10 +12,12 @@
 /// item sets — replacing one BitVector heap allocation per node per
 /// equation with straight-line word loops over stable pointers.
 ///
-/// Rows are exposed as raw `Word *` spans rather than wrapped views:
-/// the solver's inner loops fuse several equations into one pass over
-/// the words of a node, and a pointer-plus-index idiom keeps that code
-/// free of abstraction overhead. The tail-word invariant of BitVector
+/// The solver's inner loops read rows as raw `Word *` spans: they fuse
+/// several equations into one pass over the words of a node, and a
+/// pointer-plus-index idiom keeps that code free of abstraction
+/// overhead. Everything else reads rows as BitRow views, and runs of
+/// rows as BitRows fields (a problem's init sets, a result's 20
+/// variables). The tail-word invariant of BitVector
 /// (bits past NumBits in the last word stay zero) is maintained by
 /// construction and by the masked mutators below; the bitwise AND / OR
 /// / ANDNOT combinations the equations use preserve it automatically.
@@ -42,6 +44,93 @@
 #endif
 
 namespace gnt {
+
+/// A run of equally strided word rows viewed as one per-node field:
+/// element I is a BitRow (or ConstBitRow, through a const BitRows).
+/// The problem's TAKE/GIVE/STEAL_init and the solver's 20 result
+/// variables are such fields over one DataflowMatrix each. A BitRows is
+/// a view like BitRow: it does not own or keep alive its storage, and
+/// its owner re-binds it when the storage is copied.
+class BitRows {
+public:
+  using Word = BitVector::Word;
+
+  /// Forward iterator yielding row views, by row index (a zero-bit
+  /// universe has zero-word rows that all share one address).
+  template <typename RowT, typename WordT> class Iterator {
+  public:
+    Iterator(WordT *Base, unsigned Stride, unsigned Bits, unsigned I)
+        : Base(Base), Stride(Stride), Bits(Bits), I(I) {}
+    RowT operator*() const {
+      return RowT(Base + static_cast<std::size_t>(I) * Stride, Bits);
+    }
+    Iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    bool operator!=(const Iterator &RHS) const { return I != RHS.I; }
+
+  private:
+    WordT *Base;
+    unsigned Stride;
+    unsigned Bits;
+    unsigned I;
+  };
+
+  BitRows() = default;
+  BitRows(Word *First, unsigned Count, unsigned Stride, unsigned Bits)
+      : Base(First), Count(Count), Stride(Stride), Bits(Bits) {}
+
+  /// Number of rows (nodes).
+  unsigned size() const { return Count; }
+  /// Bits per row (the universe size).
+  unsigned bits() const { return Bits; }
+
+  BitRow operator[](unsigned I) {
+    assert(I < Count && "row out of range");
+    return BitRow(Base + static_cast<std::size_t>(I) * Stride, Bits);
+  }
+  ConstBitRow operator[](unsigned I) const {
+    assert(I < Count && "row out of range");
+    return ConstBitRow(Base + static_cast<std::size_t>(I) * Stride, Bits);
+  }
+
+  Iterator<BitRow, Word> begin() { return {Base, Stride, Bits, 0}; }
+  Iterator<BitRow, Word> end() { return {Base, Stride, Bits, Count}; }
+  Iterator<ConstBitRow, const Word> begin() const {
+    return {Base, Stride, Bits, 0};
+  }
+  Iterator<ConstBitRow, const Word> end() const {
+    return {Base, Stride, Bits, Count};
+  }
+
+private:
+  Word *Base = nullptr;
+  unsigned Count = 0;
+  unsigned Stride = 0;
+  unsigned Bits = 0;
+};
+
+/// Row-wise equality of two fields of the same shape.
+inline bool operator==(const BitRows &A, const BitRows &B) {
+  if (A.size() != B.size() || A.bits() != B.bits())
+    return false;
+  for (unsigned I = 0, E = A.size(); I != E; ++I)
+    if (A[I] != B[I])
+      return false;
+  return true;
+}
+
+/// The one conversion of a field to owned BitVectors, for the tests and
+/// the audit's generic dataflow engine. Program paths read rows in
+/// place.
+inline std::vector<BitVector> toBitVectors(const BitRows &F) {
+  std::vector<BitVector> V;
+  V.reserve(F.size());
+  for (ConstBitRow R : F)
+    V.emplace_back(R);
+  return V;
+}
 
 /// Contiguous (row x bit) matrix of dataflow sets.
 class DataflowMatrix {
@@ -120,9 +209,7 @@ public:
       : NRows(RHS.NRows), NBits(RHS.NBits), WPerRow(RHS.WPerRow),
         NWords(RHS.NWords), Words(RHS.Words),
         Mapped(RHS.Mapped) {
-    RHS.Words = nullptr;
-    RHS.NWords = 0;
-    RHS.Mapped = false;
+    RHS.forget();
   }
   DataflowMatrix &operator=(DataflowMatrix &&RHS) noexcept {
     if (this != &RHS) {
@@ -133,14 +220,24 @@ public:
       NWords = RHS.NWords;
       Words = RHS.Words;
       Mapped = RHS.Mapped;
-      RHS.Words = nullptr;
-      RHS.NWords = 0;
-      RHS.Mapped = false;
+      RHS.forget();
     }
     return *this;
   }
-  DataflowMatrix(const DataflowMatrix &) = delete;
-  DataflowMatrix &operator=(const DataflowMatrix &) = delete;
+  /// Deep copy: one allocation and one memcpy of the whole storage
+  /// (rows are contiguous). A copy of a lazily zeroed arena is an
+  /// ordinary eagerly allocated one.
+  DataflowMatrix(const DataflowMatrix &RHS)
+      : NRows(RHS.NRows), NBits(RHS.NBits), WPerRow(RHS.WPerRow),
+        NWords(RHS.NWords), Words(allocWords(NWords)) {
+    if (NWords)
+      std::memcpy(Words, RHS.Words, NWords * sizeof(Word));
+  }
+  DataflowMatrix &operator=(const DataflowMatrix &RHS) {
+    if (this != &RHS)
+      *this = DataflowMatrix(RHS);
+    return *this;
+  }
   ~DataflowMatrix() { release(); }
 
   unsigned rows() const { return NRows; }
@@ -173,17 +270,18 @@ public:
       std::memset(Words, 0, NWords * sizeof(Word));
   }
 
+  /// Row \p R as a bit-set view. Assigning to the view writes the row.
+  BitRow bitRow(unsigned R) { return BitRow(row(R), NBits); }
+  ConstBitRow bitRow(unsigned R) const { return ConstBitRow(row(R), NBits); }
+
+  /// Rows [\p First, \p First + \p Count) as one per-node field.
+  BitRows field(unsigned First, unsigned Count);
+
   /// Copies \p BV (which must have exactly bits() bits) into row \p R.
-  void assignRow(unsigned R, const BitVector &BV) {
-    assert(BV.size() == NBits && "row size mismatch");
-    if (WPerRow)
-      std::memcpy(row(R), BV.words(), WPerRow * sizeof(Word));
-  }
+  void assignRow(unsigned R, ConstBitRow BV) { bitRow(R) = BV; }
 
   /// Materializes row \p R as a standalone BitVector.
-  BitVector extractRow(unsigned R) const {
-    return BitVector::fromWords(row(R), NBits);
-  }
+  BitVector extractRow(unsigned R) const { return BitVector(bitRow(R)); }
 
   /// Sets every bit of row \p R, respecting the tail-word invariant.
   void setRow(unsigned R) {
@@ -205,8 +303,8 @@ public:
 
   /// True when every row honors the tail-word invariant (no bits past
   /// bits() in the last data word). This is the bottom-row contract an
-  /// Uninit writer must establish before rows are exported through
-  /// borrowWords; the solver asserts it in Debug builds, where the
+  /// Uninit writer must establish before its rows are handed out as
+  /// BitRow views; the solver asserts it in Debug builds, where the
   /// 0xA5 poison guarantees a never-written row trips it whenever
   /// bits() is not a word multiple.
   bool rowsExportable() const {
@@ -224,6 +322,15 @@ private:
     if (!N)
       return nullptr;
     return new Word[N];
+  }
+
+  /// Leaves a moved-from matrix empty (0 x 0) without freeing storage
+  /// it no longer owns.
+  void forget() {
+    NRows = NBits = WPerRow = 0;
+    NWords = 0;
+    Words = nullptr;
+    Mapped = false;
   }
 
   void release() {
@@ -244,9 +351,15 @@ private:
   unsigned NBits = 0;
   unsigned WPerRow = 0;
   std::size_t NWords = 0;
-  Word *Words = nullptr; ///< Matrix storage; the class is move-only.
+  Word *Words = nullptr; ///< Matrix storage.
   bool Mapped = false;   ///< Storage came from mmap, not new[].
 };
+
+inline BitRows DataflowMatrix::field(unsigned First, unsigned Count) {
+  assert(static_cast<std::size_t>(First) + Count <= NRows &&
+         "field out of range");
+  return BitRows(Count ? row(First) : nullptr, Count, WPerRow, NBits);
+}
 
 } // namespace gnt
 

@@ -157,7 +157,7 @@ struct ClassSplit {
   unsigned Count;
 };
 
-inline void refineByRow(const BitVector &Row, std::vector<unsigned> &Classes,
+inline void refineByRow(ConstBitRow Row, std::vector<unsigned> &Classes,
                         unsigned &NumClasses, std::vector<ClassSplit> &BS,
                         std::vector<unsigned> &Touched, unsigned &Live) {
   constexpr unsigned None = ~0u;
@@ -260,11 +260,13 @@ inline void refineByRow(const BitVector &Row, std::vector<unsigned> &Classes,
 /// refineByRow), the abort can never suppress a partition that would
 /// have been usable, and it caps the cost of discovering that an input
 /// is incompressible at a fraction of a full sweep.
-inline ItemClasses
-computeItemClasses(unsigned Universe, const std::vector<BitVector> &TakeInit,
-                   const std::vector<BitVector> &GiveInit,
-                   const std::vector<BitVector> &StealInit,
-                   unsigned AbortAboveClasses = 0) {
+///
+/// \p RowsT is any range of rows convertible to ConstBitRow: a
+/// problem's BitRows fields, read in place, or a std::vector<BitVector>.
+template <typename RowsT = std::vector<BitVector>>
+ItemClasses computeItemClasses(unsigned Universe, const RowsT &TakeInit,
+                               const RowsT &GiveInit, const RowsT &StealInit,
+                               unsigned AbortAboveClasses = 0) {
   ItemClasses R;
   R.Universe = Universe;
   if (Universe == 0)
@@ -275,8 +277,8 @@ computeItemClasses(unsigned Universe, const std::vector<BitVector> &TakeInit,
   unsigned Live = 0;
   std::vector<ClassSplit> BS;
   std::vector<unsigned> Touched;
-  auto Sweep = [&](const std::vector<BitVector> &Rows) {
-    for (const BitVector &Row : Rows) {
+  auto Sweep = [&](const RowsT &Rows) {
+    for (ConstBitRow Row : Rows) {
       assert(Row.size() == Universe && "row not sized to the universe");
       refineByRow(Row, Classes, NumClasses, BS, Touched, Live);
       if (AbortAboveClasses && Live > AbortAboveClasses)

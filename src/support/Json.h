@@ -8,105 +8,117 @@
 /// A tiny hand-rolled JSON writer used by the structured diagnostics
 /// renderer (`gntc --audit-json`). No external dependencies: the output
 /// vocabulary is small (objects, arrays, strings, integers, booleans), so
-/// a streaming writer with explicit escaping is all we need.
+/// an appending writer with explicit escaping is all we need.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GNT_SUPPORT_JSON_H
 #define GNT_SUPPORT_JSON_H
 
-#include <sstream>
+#include <charconv>
+#include <cstdio>
 #include <string>
 
 namespace gnt {
 
-/// Escapes \p S for inclusion inside a double-quoted JSON string.
-inline std::string jsonEscape(const std::string &S) {
-  std::string R;
-  R.reserve(S.size());
+/// Appends \p S to \p Out escaped for inclusion inside a double-quoted
+/// JSON string.
+inline void appendJsonEscaped(std::string &Out, const std::string &S) {
   for (char C : S) {
     switch (C) {
     case '"':
-      R += "\\\"";
+      Out += "\\\"";
       break;
     case '\\':
-      R += "\\\\";
+      Out += "\\\\";
       break;
     case '\n':
-      R += "\\n";
+      Out += "\\n";
       break;
     case '\r':
-      R += "\\r";
+      Out += "\\r";
       break;
     case '\t':
-      R += "\\t";
+      Out += "\\t";
       break;
     default:
       if (static_cast<unsigned char>(C) < 0x20) {
         char Buf[8];
         std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        R += Buf;
+        Out += Buf;
       } else {
-        R += C;
+        Out += C;
       }
     }
   }
+}
+
+/// Escapes \p S for inclusion inside a double-quoted JSON string.
+inline std::string jsonEscape(const std::string &S) {
+  std::string R;
+  R.reserve(S.size());
+  appendJsonEscaped(R, S);
   return R;
 }
 
-/// Streaming writer for a flat mix of objects and arrays. The caller is
-/// responsible for well-formedness (balanced begin/end calls); the writer
-/// tracks comma placement only.
+/// Writer for a flat mix of objects and arrays, appending into one
+/// string. The caller is responsible for well-formedness (balanced
+/// begin/end calls); the writer tracks comma placement only.
 class JsonWriter {
 public:
-  std::string str() const { return OS.str(); }
+  std::string str() const { return Out; }
 
   JsonWriter &beginObject() {
     sep();
-    OS << "{";
+    Out += '{';
     First = true;
     return *this;
   }
   JsonWriter &endObject() {
-    OS << "}";
+    Out += '}';
     First = false;
     return *this;
   }
   JsonWriter &beginArray(const std::string &Key = "") {
     sep();
     if (!Key.empty())
-      OS << "\"" << jsonEscape(Key) << "\":";
-    OS << "[";
+      quotedKey(Key);
+    Out += '[';
     First = true;
     return *this;
   }
   JsonWriter &endArray() {
-    OS << "]";
+    Out += ']';
     First = false;
     return *this;
   }
 
   JsonWriter &key(const std::string &K) {
     sep();
-    OS << "\"" << jsonEscape(K) << "\":";
+    quotedKey(K);
     First = true; // The value that follows needs no comma.
     return *this;
   }
   JsonWriter &value(const std::string &V) {
     sep();
-    OS << "\"" << jsonEscape(V) << "\"";
+    Out += '"';
+    appendJsonEscaped(Out, V);
+    Out += '"';
     return *this;
   }
   JsonWriter &value(const char *V) { return value(std::string(V)); }
   JsonWriter &value(long long V) {
     sep();
-    OS << V;
+    char Buf[24];
+    auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), V);
+    (void)Ec; // 24 bytes hold every long long.
+    Out.append(Buf, End);
     return *this;
   }
   JsonWriter &value(unsigned V) { return value(static_cast<long long>(V)); }
   JsonWriter &value(bool V) {
     sep();
-    OS << (V ? "true" : "false");
+    Out += V ? "true" : "false";
     return *this;
   }
   /// Emits \p Token verbatim as a value: a pre-rendered number (doubles
@@ -114,18 +126,24 @@ public:
   /// The caller guarantees the token is valid JSON.
   JsonWriter &raw(const std::string &Token) {
     sep();
-    OS << Token;
+    Out += Token;
     return *this;
   }
 
 private:
   void sep() {
     if (!First)
-      OS << ",";
+      Out += ',';
     First = false;
   }
 
-  std::ostringstream OS;
+  void quotedKey(const std::string &K) {
+    Out += '"';
+    appendJsonEscaped(Out, K);
+    Out += "\":";
+  }
+
+  std::string Out;
   bool First = true;
 };
 

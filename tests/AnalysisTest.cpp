@@ -268,7 +268,7 @@ TEST(DataflowEngine, AvailabilityCoversEveryConsumer) {
     DataflowResult R = solveDataflow(
         Run.OrientedIfg, makeAvailabilitySpec(Run, U), SolveMode::RoundRobin);
     for (NodeId Node = 0; Node != Run.OrientedIfg.size(); ++Node) {
-      BitVector Missing = Run.OrientedProblem.TakeInit[Node];
+      BitVector Missing(Run.OrientedProblem.TakeInit[Node]);
       Missing.reset(R.Out[Node]);
       EXPECT_FALSE(Missing.any())
           << "node " << Node << " consumes an unavailable item";

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace gnt;
 using namespace gnt::test;
 
@@ -91,7 +93,7 @@ TEST(Auditor, DroppedProductionIsRejectedAsC3) {
   NodeId W = findAssign(P.G, "w");
   Prob.TakeInit[W].set(ItemX);
   GntRun Run = runGiveNTake(*P.Ifg, Prob);
-  for (BitVector &BV : Run.Result.Eager.ResIn)
+  for (BitRow BV : Run.Result.Eager.ResIn)
     BV.reset();
   AuditResult A = auditGntRun(Run);
   EXPECT_FALSE(A.ok());
@@ -125,7 +127,9 @@ TEST(Auditor, SwappedUrgenciesAreRejectedAsC1) {
   GntRun Run = runGiveNTake(*P.Ifg, Prob);
   ASSERT_NE(Run.Result.Eager.ResIn[W], Run.Result.Lazy.ResIn[W])
       << "test premise: EAGER and LAZY differ at the consumer";
-  std::swap(Run.Result.Eager.ResIn[W], Run.Result.Lazy.ResIn[W]);
+  BitVector EagerAtW(Run.Result.Eager.ResIn[W]);
+  Run.Result.Eager.ResIn[W] = Run.Result.Lazy.ResIn[W];
+  Run.Result.Lazy.ResIn[W] = EagerAtW;
   AuditResult A = auditGntRun(Run);
   EXPECT_FALSE(A.ok());
   EXPECT_TRUE(A.Diags.contains(CheckId::C1))
@@ -174,7 +178,7 @@ TEST(Auditor, DiagnosticsCarryMachineReadableLocations) {
   NodeId W = findAssign(P.G, "w");
   Prob.TakeInit[W].set(ItemX);
   GntRun Run = runGiveNTake(*P.Ifg, Prob);
-  for (BitVector &BV : Run.Result.Eager.ResIn)
+  for (BitRow BV : Run.Result.Eager.ResIn)
     BV.reset();
   AuditResult A = auditGntRun(Run, {"x"});
   std::string Json = A.Diags.renderJson();
@@ -231,3 +235,33 @@ TEST_P(AuditRandomPrograms, PipelineOutputAuditsClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AuditRandomPrograms, ::testing::Range(1u, 51u));
+
+TEST(Auditor, CopiedCommPlanOutlivesItsOriginal) {
+  // A plan copy owns its problems, oriented graphs and solve arenas:
+  // auditing, verifying and annotating it after the original is gone
+  // must give the original's answers (ASan builds catch any view that
+  // still points into the destroyed plan).
+  for (unsigned Seed : {3u, 11u}) {
+    GenConfig C = genConfigForBucket(Seed % NumGenBuckets, Seed);
+    Program Prog = generateRandomProgram(C);
+    CfgBuildResult CR = buildCfg(Prog);
+    ASSERT_TRUE(CR.success());
+    auto IR = IntervalFlowGraph::build(CR.G);
+    ASSERT_TRUE(IR.success());
+
+    auto Orig = std::make_unique<CommPlan>(generateComm(Prog, CR.G, *IR.Ifg));
+    ASSERT_TRUE(Orig->ReadRun && Orig->WriteRun);
+    const std::string Annotated = Orig->annotate(Prog);
+    const std::vector<std::string> Names = Orig->Refs.Items.names();
+    CommPlan Copy = *Orig;
+    Orig.reset();
+
+    EXPECT_EQ(Copy.annotate(Prog), Annotated) << "seed " << Seed;
+    GntVerifyResult V = Copy.verify();
+    EXPECT_TRUE(V.ok()) << "seed " << Seed << ": " << V.firstViolation();
+    for (const GntRun *Run : {&*Copy.ReadRun, &*Copy.WriteRun}) {
+      AuditResult A = auditGntRun(*Run, Names);
+      EXPECT_TRUE(A.ok()) << "seed " << Seed << ":\n" << errors(A);
+    }
+  }
+}

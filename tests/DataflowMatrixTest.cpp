@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 
 using namespace gnt;
 
@@ -129,11 +130,11 @@ TEST(DataflowMatrix, MoveTransfersMappedStorage) {
 }
 
 TEST(DataflowMatrix, GntResultCopyOutlivesItsArena) {
-  // The solver's result vectors borrow their words from the arena the
-  // GntResult keeps alive; copying a result must deep-copy into owned
-  // storage so the copy survives the original (and its arena) being
-  // destroyed. A use-after-free here is exactly what ASan builds of
-  // this test would catch.
+  // The solver's result fields are row views over the arena the
+  // GntResult owns; copying a result must deep-copy the arena so the
+  // copy survives the original (and its arena) being destroyed. A
+  // use-after-free here is exactly what ASan builds of this test would
+  // catch.
   auto P = test::Pipeline::fromSource("continue\ncontinue\n");
   ASSERT_TRUE(P.Ifg.has_value());
   unsigned N = P.Ifg->size();
@@ -149,16 +150,16 @@ TEST(DataflowMatrix, GntResultCopyOutlivesItsArena) {
     GntResult R = solveGiveNTake(*P.Ifg, Prob);
     ASSERT_NE(R.Arena, nullptr);
     TakeAtOne = BitVector::fromWords(R.Take[1].words(), R.Take[1].size());
-    Copy = R;           // Deep copy: every BitVector now owns its words.
-    Copy.Arena.reset(); // Drop the copied keep-alive handle on purpose.
-  }                     // Original result and the arena die here.
+    Copy = R; // Deep copy: the copy views an arena of its own.
+    EXPECT_NE(Copy.Arena, R.Arena);
+  }           // Original result and its arena die here.
   ASSERT_EQ(Copy.Take.size(), TakeAtOne.size() ? Copy.Take.size() : 0u);
   EXPECT_EQ(Copy.Take[1], TakeAtOne);
   forEachGntField(Copy, [&](const char *Name,
-                            const std::vector<BitVector> &V) {
-    for (const BitVector &BV : V) {
+                            const BitRows &V) {
+    for (ConstBitRow BV : V) {
       EXPECT_EQ(BV.size(), 130u) << Name;
-      (void)BV.count(); // Touch every word: must be owned storage.
+      (void)BV.count(); // Touch every word: must be live storage.
     }
   });
 }
@@ -211,4 +212,79 @@ TEST(DataflowMatrix, RowsAreIndependent) {
   EXPECT_TRUE(M.rowNone(2));
   EXPECT_EQ(M.extractRow(1).count(), 1u); // Only bit 64 survives.
   EXPECT_TRUE(M.extractRow(1).test(64));
+}
+
+TEST(DataflowMatrix, RowAssignmentWritesThrough) {
+  // A BitRow is a reference: assigning to it (even a temporary one from
+  // operator[]) copies bits into the matrix row and never rebinds.
+  DataflowMatrix M(4, 70);
+  BitRows F = M.field(1, 2);
+  BitVector V(70);
+  V.set(0);
+  V.set(69);
+  F[1] = V;
+  EXPECT_EQ(M.extractRow(2), V);
+  EXPECT_TRUE(M.rowNone(1));
+
+  BitRow R = F[0];
+  R = F[1]; // Row-to-row assignment copies bits, it does not alias.
+  EXPECT_EQ(M.extractRow(1), V);
+  F[1].reset();
+  EXPECT_EQ(M.extractRow(1), V);
+  EXPECT_TRUE(M.rowNone(2));
+
+  GntProblem P(3, 70);
+  P.TakeInit[2] = V;
+  P.GiveInit[0] = P.TakeInit[2];
+  P.StealInit[1].set(5);
+  const DataflowMatrix &Init = P.initMatrix();
+  EXPECT_EQ(Init.extractRow(2), V);     // TAKE_init[2].
+  EXPECT_EQ(Init.extractRow(3), V);     // GIVE_init[0].
+  EXPECT_TRUE(Init.bitRow(7).test(5));  // STEAL_init[1].
+  EXPECT_EQ(Init.bitRow(7).count(), 1u);
+}
+
+TEST(DataflowMatrix, CopiedProblemResultAndRunOwnIndependentStorage) {
+  auto Pipe = test::Pipeline::fromSource(test::fig11Source());
+  ASSERT_TRUE(Pipe.Ifg.has_value());
+  const unsigned N = Pipe.Ifg->size();
+  std::optional<GntProblem> Orig(std::in_place, N, 67, Direction::After);
+  for (unsigned Item = 0; Item != 67; ++Item) {
+    Orig->TakeInit[(Item * 7) % N].set(Item);
+    Orig->GiveInit[(Item * 3) % N].set(Item);
+  }
+  GntProblem Copy = *Orig;
+  std::optional<GntRun> Run(runGiveNTake(*Pipe.Ifg, *Orig));
+  GntRun RunCopy = *Run;
+  GntResult ResultCopy = Run->Result;
+  const std::vector<BitVector> Take = toBitVectors(Copy.TakeInit);
+  const std::vector<BitVector> ResIn = toBitVectors(Run->Result.Eager.ResIn);
+
+  // Mutating or destroying the originals leaves the copies untouched.
+  Orig->TakeInit[0].set();
+  Run->Result.Eager.ResIn[1].set();
+  Run->OrientedProblem.GiveInit[2].set();
+  Orig.reset();
+  Run.reset();
+
+  EXPECT_EQ(toBitVectors(Copy.TakeInit), Take);
+  EXPECT_EQ(toBitVectors(RunCopy.Result.Eager.ResIn), ResIn);
+  EXPECT_EQ(toBitVectors(ResultCopy.Eager.ResIn), ResIn);
+  EXPECT_EQ(RunCopy.OrientedIfg.size(), N);
+  EXPECT_TRUE(RunCopy.OrientedIfg.isReversed());
+  // The copied run still solves to itself: re-running its own oriented
+  // inputs reproduces every field.
+  GntResult Again = solveGiveNTake(RunCopy.OrientedIfg,
+                                   RunCopy.OrientedProblem);
+  EXPECT_EQ(toBitVectors(Again.Steal), toBitVectors(RunCopy.Result.Steal));
+  EXPECT_EQ(toBitVectors(Again.Lazy.ResOut),
+            toBitVectors(RunCopy.Result.Lazy.ResOut));
+
+  // Moved-from problems and results are empty, not dangling.
+  GntProblem Moved = std::move(Copy);
+  EXPECT_EQ(Copy.numNodes(), 0u);
+  EXPECT_EQ(Moved.numNodes(), N);
+  GntResult MovedResult = std::move(ResultCopy);
+  EXPECT_EQ(ResultCopy.numNodes(), 0u);
+  EXPECT_EQ(MovedResult.numNodes(), N);
 }

@@ -205,9 +205,9 @@ endif
   // shows the O2-minimal alternative: a single producer above the branch.
   EXPECT_EQ(insertionsOf(R, Item), 2u);
   unsigned EagerProductions = 0;
-  for (const BitVector &BV : R.Run.Result.Eager.ResIn)
+  for (ConstBitRow BV : R.Run.Result.Eager.ResIn)
     EagerProductions += BV.test(static_cast<unsigned>(Item));
-  for (const BitVector &BV : R.Run.Result.Eager.ResOut)
+  for (ConstBitRow BV : R.Run.Result.Eager.ResOut)
     EagerProductions += BV.test(static_cast<unsigned>(Item));
   EXPECT_EQ(EagerProductions, 1u);
   EXPECT_TRUE(R.verify().ok());

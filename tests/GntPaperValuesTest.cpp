@@ -62,7 +62,7 @@ protected:
 
   /// Asserts that, over all nodes, item \p Item is in variable \p Var
   /// exactly at \p Nodes.
-  void expectExactly(const std::vector<BitVector> &Var, unsigned Item,
+  void expectExactly(const BitRows &Var, unsigned Item,
                      std::vector<NodeId> Nodes, const char *What) {
     std::vector<bool> Want(P.G.size(), false);
     for (NodeId Id : Nodes)

@@ -27,7 +27,7 @@ namespace {
 constexpr unsigned ItemX = 0;
 
 /// Asserts that \p BV holds exactly \p Items.
-void expectItems(const BitVector &BV, std::initializer_list<unsigned> Items,
+void expectItems(ConstBitRow BV, std::initializer_list<unsigned> Items,
                  const std::string &What) {
   BitVector Want(BV.size());
   for (unsigned I : Items)
@@ -38,9 +38,9 @@ void expectItems(const BitVector &BV, std::initializer_list<unsigned> Items,
 /// Total number of production points of \p Pl for item \p Item.
 unsigned productionCount(const GntPlacement &Pl, unsigned Item) {
   unsigned N = 0;
-  for (const BitVector &BV : Pl.ResIn)
+  for (ConstBitRow BV : Pl.ResIn)
     N += BV.test(Item);
-  for (const BitVector &BV : Pl.ResOut)
+  for (ConstBitRow BV : Pl.ResOut)
     N += BV.test(Item);
   return N;
 }
@@ -399,7 +399,7 @@ TEST(GntSolver, VariableSanityInvariants) {
       for (const GntPlacement *Pl : {&R.Eager, &R.Lazy}) {
         // GIVEN_in subseteq GIVEN; RES_in = GIVEN - GIVEN_in.
         EXPECT_TRUE(Pl->GivenIn[Id].isSubsetOf(Pl->Given[Id]));
-        BitVector Expect = Pl->Given[Id];
+        BitVector Expect(Pl->Given[Id]);
         Expect.reset(Pl->GivenIn[Id]);
         EXPECT_EQ(Pl->ResIn[Id], Expect);
       }

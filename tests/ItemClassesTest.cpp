@@ -393,9 +393,9 @@ TEST(ItemClasses, CompressedSolveAppliesAndMatchesPlain) {
   EXPECT_EQ(Comp.Compression.Classes, 64u);
   EXPECT_EQ(Comp.Compression.Elided, 512u);
   forEachGntField(Plain, [&](const char *Name,
-                             const std::vector<BitVector> &Want) {
+                             const BitRows &Want) {
     forEachGntField(Comp, [&](const char *OtherName,
-                              const std::vector<BitVector> &Got) {
+                              const BitRows &Got) {
       if (std::string(Name) != OtherName)
         return;
       ASSERT_EQ(Want.size(), Got.size()) << Name;
@@ -420,9 +420,9 @@ TEST(ItemClasses, IncompressibleSolveFallsBackWithStats) {
   EXPECT_FALSE(Comp.Compression.Applied);
   EXPECT_EQ(Comp.Compression.Universe, 256u);
   forEachGntField(Plain, [&](const char *Name,
-                             const std::vector<BitVector> &Want) {
+                             const BitRows &Want) {
     forEachGntField(Comp, [&](const char *OtherName,
-                              const std::vector<BitVector> &Got) {
+                              const BitRows &Got) {
       if (std::string(Name) != OtherName)
         return;
       for (unsigned Node = 0; Node != Want.size(); ++Node)
@@ -438,7 +438,7 @@ TEST(ItemClasses, AllBottomUniverseSolvesWithoutWork) {
   EXPECT_TRUE(R.Compression.Applied);
   EXPECT_EQ(R.Compression.Classes, 0u);
   EXPECT_EQ(R.Compression.Elided, 1024u);
-  forEachGntField(R, [&](const char *Name, const std::vector<BitVector> &V) {
+  forEachGntField(R, [&](const char *Name, const BitRows &V) {
     for (unsigned Node = 0; Node != V.size(); ++Node)
       EXPECT_TRUE(V[Node].none()) << Name << " node " << Node;
   });

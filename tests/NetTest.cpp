@@ -317,9 +317,11 @@ TEST(NetDrainTest, DrainingShedsNewWorkAndFinishesInFlight) {
   ASSERT_TRUE(C.dial(Server->port()));
 
   // Park a genuinely slow job so the drain stays open, then submit
-  // more work mid-drain.
+  // more work mid-drain. The job must still be in flight when the drain
+  // starts 50 ms later (at 16,000 statements it runs a few times that
+  // long); a drain that finds no work in flight completes at once.
   ASSERT_TRUE(
-      C.send(requestLine("slow", seededSource(0, 1, 4000)) + "\n"));
+      C.send(requestLine("slow", seededSource(0, 1, 16000)) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Server->requestDrain();
   ASSERT_TRUE(C.send(requestLine("late", seededSource(1, 2, 8)) + "\n"));

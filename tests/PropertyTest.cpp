@@ -34,7 +34,10 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 using namespace gnt;
 using namespace gnt::test;
@@ -175,10 +178,10 @@ namespace {
 class ShardInvariance : public ::testing::TestWithParam<unsigned> {};
 
 /// The 20 dataflow variables of \p R in declaration order, by name.
-std::vector<std::pair<const char *, const std::vector<BitVector> *>>
+std::vector<std::pair<const char *, const BitRows *>>
 gntFields(const GntResult &R) {
-  std::vector<std::pair<const char *, const std::vector<BitVector> *>> Out;
-  forEachGntField(R, [&](const char *Name, const std::vector<BitVector> &V) {
+  std::vector<std::pair<const char *, const BitRows *>> Out;
+  forEachGntField(R, [&](const char *Name, const BitRows &V) {
     Out.emplace_back(Name, &V);
   });
   return Out;
@@ -580,8 +583,8 @@ constexpr const char *Epilogue = "k = n - 2\n"
                                  "k = k + 1\n"
                                  "x1(k) = x1(n) + x1(a0(2))\n";
 
-void expectBitsEqual(const std::vector<BitVector> &Want,
-                     const std::vector<BitVector> &Got, const char *What,
+void expectBitsEqual(const BitRows &Want,
+                     const BitRows &Got, const char *What,
                      const std::string &How) {
   ASSERT_EQ(Want.size(), Got.size()) << What << " (" << How << ")";
   for (std::size_t N = 0; N != Want.size(); ++N)
@@ -839,8 +842,13 @@ TEST(LoopForestReferenceGraphs, LargeGeneratedPrograms) {
     }
 }
 
-TEST(LoopForestReferenceGraphs, HandWrittenLoopShapes) {
-  const std::pair<const char *, const char *> Shapes[] = {
+namespace {
+
+/// The loop shapes of IntervalTest and NormalizationTest: nesting,
+/// siblings, multi-level jumps, goto-formed loops and the three
+/// normalization rounds.
+std::vector<std::pair<const char *, const char *>> handWrittenLoopShapes() {
+  return {
       {"paper figure 11", fig11Source()},
       {"nested loops", "do i = 1, n\n"
                        "  do j = 1, n\n"
@@ -887,6 +895,12 @@ TEST(LoopForestReferenceGraphs, HandWrittenLoopShapes) {
                          "  w(i) = v\n"
                          "enddo\n"},
   };
+}
+
+} // namespace
+
+TEST(LoopForestReferenceGraphs, HandWrittenLoopShapes) {
+  const auto Shapes = handWrittenLoopShapes();
   unsigned Normalized = 0;
   for (const auto &[Name, Source] : Shapes) {
     unsigned States = expectForestsAgreeOnSource(Source, Name);
@@ -904,4 +918,104 @@ TEST(LoopForestReferenceGraphs, HandWrittenLoopShapes) {
                                        "enddo\n",
                                        "irreducible"),
             0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Interval flow graph reversal: the AFTER orientation is the CSR
+// transpose with ENTRY and CYCLE swapped, and reversing twice is the
+// identity on every accessor.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class ReversedGraph : public ::testing::TestWithParam<unsigned> {};
+
+bool sameEdges(std::span<const IfgEdge> A, std::span<const IfgEdge> B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const IfgEdge &X, const IfgEdge &Y) {
+                      return X.Src == Y.Src && X.Dst == Y.Dst &&
+                             X.Type == Y.Type;
+                    });
+}
+
+/// \p Edges with every edge flipped: source and destination swapped,
+/// ENTRY and CYCLE exchanged.
+std::vector<IfgEdge> flipped(std::span<const IfgEdge> Edges) {
+  std::vector<IfgEdge> Out;
+  for (const IfgEdge &E : Edges) {
+    EdgeType T = E.Type == EdgeType::Entry   ? EdgeType::Cycle
+                 : E.Type == EdgeType::Cycle ? EdgeType::Entry
+                                             : E.Type;
+    Out.push_back({E.Dst, E.Src, T});
+  }
+  return Out;
+}
+
+/// Checks both reversal laws on \p G; returns the node count.
+unsigned expectReversalLaws(const IntervalFlowGraph &G,
+                            const std::string &How) {
+  const IntervalFlowGraph R = G.reversed();
+  const IntervalFlowGraph RR = R.reversed();
+  EXPECT_TRUE(R.isReversed()) << How;
+  EXPECT_EQ(RR.isReversed(), G.isReversed()) << How;
+  EXPECT_EQ(RR.size(), G.size()) << How;
+  EXPECT_EQ(RR.root(), G.root()) << How;
+  EXPECT_EQ(RR.preorder(), G.preorder()) << How;
+  EXPECT_EQ(RR.hasJumpEdges(), G.hasJumpEdges()) << How;
+  EXPECT_EQ(RR.jumpPoisonedHeaders(), G.jumpPoisonedHeaders()) << How;
+  for (NodeId N = 0; N != G.size(); ++N) {
+    const std::string At = How + " node " + std::to_string(N);
+    EXPECT_EQ(RR.level(N), G.level(N)) << At;
+    EXPECT_EQ(RR.parent(N), G.parent(N)) << At;
+    EXPECT_EQ(RR.isHeader(N), G.isHeader(N)) << At;
+    EXPECT_EQ(RR.lastChild(N), G.lastChild(N)) << At;
+    EXPECT_EQ(RR.headerOf(N), G.headerOf(N)) << At;
+    EXPECT_TRUE(std::ranges::equal(RR.children(N), G.children(N))) << At;
+    EXPECT_TRUE(sameEdges(RR.succs(N), G.succs(N))) << At;
+    EXPECT_TRUE(sameEdges(RR.preds(N), G.preds(N))) << At;
+
+    EXPECT_TRUE(sameEdges(R.succs(N), flipped(G.preds(N)))) << At;
+    EXPECT_TRUE(sameEdges(R.preds(N), flipped(G.succs(N)))) << At;
+    std::vector<NodeId> Kids(G.children(N).begin(), G.children(N).end());
+    std::reverse(Kids.begin(), Kids.end());
+    EXPECT_TRUE(std::ranges::equal(R.children(N), Kids)) << At;
+    EXPECT_EQ(R.level(N), G.level(N)) << At;
+    EXPECT_EQ(R.parent(N), G.parent(N)) << At;
+  }
+  return G.size();
+}
+
+unsigned expectReversalLawsOnSource(const std::string &Source,
+                                    const std::string &How) {
+  ParseResult PR = parseProgram(Source);
+  EXPECT_TRUE(PR.success()) << How;
+  if (!PR.success())
+    return 0;
+  CfgBuildResult CR = buildCfg(PR.Prog);
+  EXPECT_TRUE(CR.success()) << How;
+  if (!CR.success())
+    return 0;
+  auto IR = IntervalFlowGraph::build(CR.G);
+  EXPECT_TRUE(IR.success()) << How;
+  return IR.success() ? expectReversalLaws(*IR.Ifg, How) : 0;
+}
+
+} // namespace
+
+TEST_P(ReversedGraph, DoubleReversalIsIdentity) {
+  unsigned Seed = GetParam();
+  for (unsigned Bucket = 0; Bucket != NumGenBuckets; ++Bucket) {
+    std::string How =
+        "seed " + std::to_string(Seed) + " bucket " + std::to_string(Bucket);
+    Program Prog = generateRandomProgram(genConfigForBucket(Bucket, Seed));
+    EXPECT_GE(expectReversalLawsOnSource(AstPrinter().print(Prog), How), 2u)
+        << How;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReversedGraph, ::testing::Range(1u, 101u));
+
+TEST(ReversedGraphShapes, HandWrittenLoopShapes) {
+  for (const auto &[Name, Source] : handWrittenLoopShapes())
+    EXPECT_GE(expectReversalLawsOnSource(Source, Name), 2u) << Name;
 }

@@ -466,9 +466,11 @@ TEST(Strategy, LospreMatchesLcmDataflowOnJumpFreePrograms) {
                       Plan.ReadProblem, Plan.WriteProblem);
     unsigned N = B->G.size();
     unsigned U = Plan.Refs.Items.size();
-    std::vector<BitVector> Transp(N, BitVector(U, true));
-    std::vector<BitVector> Comp(N, BitVector(U));
+    DataflowMatrix Preds(2 * N, U);
+    BitRows Transp = Preds.field(0, N);
+    BitRows Comp = Preds.field(N, N);
     for (NodeId Id = 0; Id != N; ++Id) {
+      Transp[Id].set();
       Transp[Id].reset(Plan.ReadProblem.StealInit[Id]);
       Comp[Id] = Plan.ReadProblem.TakeInit[Id];
       Comp[Id] |= Plan.ReadProblem.GiveInit[Id];

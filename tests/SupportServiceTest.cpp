@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The support pieces under the service subsystem: FNV-1a hashing (known
-// vectors + chaining laws), the JSON reader (round trips with the
-// writer), and the thread pool (completion, reuse, inline mode).
+// vectors + chaining laws), the JSON writer (golden bytes against a
+// stream-based reference) and reader (round trips with the writer), and
+// the thread pool (completion, reuse, inline mode).
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdio>
+#include <sstream>
 #include <string>
 
 using namespace gnt;
@@ -88,6 +92,156 @@ TEST(JsonParse, Errors) {
   JsonParseResult P = parseJson("{\"a\": @}");
   EXPECT_FALSE(P.success());
   EXPECT_EQ(P.ErrorOffset, 6u);
+}
+
+/// The std::ostringstream JsonWriter the appending writer replaced,
+/// kept as the golden reference for its bytes.
+class StreamJsonWriter {
+public:
+  static std::string escape(const std::string &S) {
+    std::string R;
+    for (char C : S) {
+      switch (C) {
+      case '"':
+        R += "\\\"";
+        break;
+      case '\\':
+        R += "\\\\";
+        break;
+      case '\n':
+        R += "\\n";
+        break;
+      case '\r':
+        R += "\\r";
+        break;
+      case '\t':
+        R += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(C) < 0x20) {
+          char Buf[8];
+          std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+          R += Buf;
+        } else {
+          R += C;
+        }
+      }
+    }
+    return R;
+  }
+
+  std::string str() const { return OS.str(); }
+  StreamJsonWriter &beginObject() {
+    sep();
+    OS << "{";
+    First = true;
+    return *this;
+  }
+  StreamJsonWriter &endObject() {
+    OS << "}";
+    First = false;
+    return *this;
+  }
+  StreamJsonWriter &beginArray(const std::string &Key = "") {
+    sep();
+    if (!Key.empty())
+      OS << "\"" << escape(Key) << "\":";
+    OS << "[";
+    First = true;
+    return *this;
+  }
+  StreamJsonWriter &endArray() {
+    OS << "]";
+    First = false;
+    return *this;
+  }
+  StreamJsonWriter &key(const std::string &K) {
+    sep();
+    OS << "\"" << escape(K) << "\":";
+    First = true;
+    return *this;
+  }
+  StreamJsonWriter &value(const std::string &V) {
+    sep();
+    OS << "\"" << escape(V) << "\"";
+    return *this;
+  }
+  StreamJsonWriter &value(const char *V) { return value(std::string(V)); }
+  StreamJsonWriter &value(long long V) {
+    sep();
+    OS << V;
+    return *this;
+  }
+  StreamJsonWriter &value(unsigned V) {
+    return value(static_cast<long long>(V));
+  }
+  StreamJsonWriter &value(bool V) {
+    sep();
+    OS << (V ? "true" : "false");
+    return *this;
+  }
+  StreamJsonWriter &raw(const std::string &Token) {
+    sep();
+    OS << Token;
+    return *this;
+  }
+
+private:
+  void sep() {
+    if (!First)
+      OS << ",";
+    First = false;
+  }
+  std::ostringstream OS;
+  bool First = true;
+};
+
+/// Drives either writer through one document that covers every
+/// escape class, nesting and the integer extremes.
+template <typename WriterT> std::string goldenDocument() {
+  std::string Controls;
+  for (int C = 0x01; C <= 0x1f; ++C)
+    Controls += static_cast<char>(C);
+  const std::string High = "caf\xc3\xa9 \x80\xff";
+  WriterT W;
+  W.beginObject();
+  W.key("quotes").value("say \"hi\"");
+  W.key("backslash").value("a\\b\\");
+  W.key("whitespace").value("l1\nl2\rl3\tend");
+  W.key("controls").value(Controls);
+  W.key("high").value(High);
+  W.key("k\"ey\n").value("");
+  W.key("min").value(LLONG_MIN);
+  W.key("max").value(LLONG_MAX);
+  W.key("zero").value(0LL);
+  W.key("count").value(4294967295u);
+  W.key("yes").value(true);
+  W.key("no").value(false);
+  W.key("raw").raw("1.5e-07");
+  W.beginArray("nested");
+  W.beginObject();
+  W.beginArray("inner");
+  W.value("x").value(-1LL);
+  W.beginArray();
+  W.endArray();
+  W.beginObject();
+  W.endObject();
+  W.endArray();
+  W.endObject();
+  W.value(High);
+  W.endArray();
+  W.beginArray("\x01arr\x1f");
+  W.endArray();
+  W.endObject();
+  return W.str();
+}
+
+TEST(JsonWriter, MatchesStreamReferenceByteForByte) {
+  EXPECT_EQ(goldenDocument<JsonWriter>(), goldenDocument<StreamJsonWriter>());
+  for (const std::string &S :
+       {std::string(), std::string("\x01"), std::string("\x1f"),
+        std::string("\x7f\x80"), std::string("\\\"\n\r\t")})
+    EXPECT_EQ(jsonEscape(S), StreamJsonWriter::escape(S));
 }
 
 TEST(JsonParse, RoundTripsWriterOutput) {

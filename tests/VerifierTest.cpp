@@ -61,7 +61,7 @@ TEST(Verifier, CatchesMissingProduction) {
   Prob.TakeInit[findAssign(P.G, "w")].set(ItemX);
   GntRun Run = runGiveNTake(*P.Ifg, Prob);
   // Remove every production of the EAGER solution.
-  for (BitVector &BV : Run.Result.Eager.ResIn)
+  for (BitRow BV : Run.Result.Eager.ResIn)
     BV.reset();
   GntVerifyResult V = verifyGntRun(Run);
   EXPECT_FALSE(V.ok());
@@ -90,7 +90,7 @@ TEST(Verifier, CatchesUnmatchedSend) {
   Prob.TakeInit[findAssign(P.G, "w")].set(ItemX);
   GntRun Run = runGiveNTake(*P.Ifg, Prob);
   // Delete the LAZY (receive) production: the send never completes.
-  for (BitVector &BV : Run.Result.Lazy.ResIn)
+  for (BitRow BV : Run.Result.Lazy.ResIn)
     BV.reset();
   GntVerifyResult V = verifyGntRun(Run);
   EXPECT_FALSE(V.ok());
